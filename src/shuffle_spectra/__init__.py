@@ -39,13 +39,13 @@ from .exact_chain import (
     numeric_eig_multiset,
     perm_rank,
     perm_unrank,
+    trajectory,
     tv_between,
     tv_to_uniform,
 )
 from .profiles import (
     BoundReport,
     ProfilePoint,
-    SignedLogReal,
     bound_decomposition,
     comparison_bound,
     cutoff_times,

@@ -67,13 +67,10 @@ def _cmd_profile(args):
 
 def _cmd_exact_tv(args):
     matrix = exact_chain.build_matrix(args.chain, args.n)
-    a = matrix.mat.astype(np.float64).multiply(1.0 / matrix.denom).tocsr()
-    d = np.zeros(matrix.mat.shape[0])
-    d[0] = 1.0
-    rows = []
-    for t in range(args.t_max + 1):
-        rows.append((args.n, args.chain, t, exact_chain.tv_to_uniform(d)))
-        d = a.T @ d
+    rows = [
+        (args.n, args.chain, t, exact_chain.tv_to_uniform(d))
+        for t, d in enumerate(exact_chain.trajectory(matrix, 0, args.t_max))
+    ]
     return _render(["n", "chain", "t", "tv"], rows, args.format)
 
 
@@ -159,11 +156,9 @@ def _verify_checks(n):
         ok = True
         for chain in spectra.CHAINS:
             numeric = exact_chain.numeric_eig_multiset(exact_chain.build_matrix(chain, n))
+            rows = spectra.spectrum_rows(chain, n)
             formula = np.sort(
-                np.repeat(
-                    [float(e) for lam, e, m in spectra.spectrum_rows(chain, n)],
-                    [m for lam, e, m in spectra.spectrum_rows(chain, n)],
-                )
+                np.repeat([float(e) for lam, e, m in rows], [m for lam, e, m in rows])
             )
             if numeric.size != formula.size or np.abs(numeric - formula).max() > 1e-8:
                 ok = False
@@ -174,8 +169,8 @@ def _verify_checks(n):
         ok = True
         p = exact_chain.build_matrix("star", n)
         q = exact_chain.build_matrix("rt", n)
-        dp = [exact_chain.evolve(p, 0, t) for t in range(21)]
-        dq = [exact_chain.evolve(q, 0, t) for t in range(21)]
+        dp = list(exact_chain.trajectory(p, 0, 20))
+        dq = list(exact_chain.trajectory(q, 0, 20))
         for t in range(21):
             for t_star in range(21):
                 lhs = 2.0 * exact_chain.tv_between(dq[t], dp[t_star])

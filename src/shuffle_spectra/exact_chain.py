@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .partitions import SizeLimitError, enumerate_partitions, exact_dim
-from .spectra import rt_eigenvalue, star_eigenvalues
+from .partitions import SizeLimitError
+from .profiles import _comparison_sums
 
 MAX_PERM_N = 10
 MAX_BUILD_N = 8
@@ -146,9 +146,10 @@ def build_skewed_matrix(n):
     return _build_from_weights(n, weights, 1)
 
 
-def evolve(matrix, start, t):
-    """Distribution after t steps from the point mass at rank `start`."""
-    if t < 0:
+def trajectory(matrix, start, t_max):
+    """Iterator over the distributions at t = 0, 1, ..., t_max from the point
+    mass at rank `start`."""
+    if t_max < 0:
         raise ValueError("t must be nonnegative")
     m = matrix.mat.shape[0]
     if not 0 <= start < m:
@@ -156,8 +157,14 @@ def evolve(matrix, start, t):
     a = matrix.mat.astype(np.float64).multiply(1.0 / matrix.denom).tocsr()
     d = np.zeros(m)
     d[start] = 1.0
-    for _ in range(t):
-        d = a.T @ d  # symmetric matrices in practice; transpose keeps row-convention
+    # symmetric matrices in practice; the transpose keeps the row convention
+    return itertools.accumulate(range(t_max), lambda d, _: a.T @ d, initial=d)
+
+
+def evolve(matrix, start, t):
+    """Distribution after t steps from the point mass at rank `start`."""
+    for d in trajectory(matrix, start, t):
+        pass
     return d
 
 
@@ -256,13 +263,7 @@ def numeric_eig_multiset(matrix):
 
 def spectral_rhs(n, t, t_star):
     """Formula-side bound: sqrt(sum_lam d_lam sum_i d_red (s^t - sbar^t*)^2)."""
-    total = 0.0
-    for lam in enumerate_partitions(n):
-        d = exact_dim(lam)
-        s = float(rt_eigenvalue(lam).s)
-        for e in star_eigenvalues(lam):
-            total += d * exact_dim(e.reduced) * (s**t - float(e.s_bar) ** t_star) ** 2
-    return math.sqrt(total)
+    return math.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
 
 
 def lemma_l2_check(n, t, t_star):

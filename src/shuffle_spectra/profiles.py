@@ -29,43 +29,6 @@ _LOG_DIFF_GUARD = 1e-13
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class SignedLogReal:
-    """A real carried as (sign, log magnitude) for overflow-free products."""
-
-    sign: int
-    log_mag: float
-
-    @classmethod
-    def from_float(cls, x):
-        if x == 0.0:
-            return cls(0, _NEG_INF)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self):
-        return 0.0 if self.sign == 0 else self.sign * math.exp(self.log_mag)
-
-    def __mul__(self, other):
-        s = self.sign * other.sign
-        return SignedLogReal(s, self.log_mag + other.log_mag if s else _NEG_INF)
-
-    def pow_int(self, t):
-        if t == 0:
-            return SignedLogReal(1, 0.0)
-        if self.sign == 0:
-            return SignedLogReal(0, _NEG_INF)
-        sign = 1 if self.sign > 0 or t % 2 == 0 else -1
-        return SignedLogReal(sign, t * self.log_mag)
-
-    def __sub__(self, other):
-        s, m = _signed_diff(self.sign, self.log_mag, other.sign, other.log_mag)
-        return SignedLogReal(s, m)
-
-    def __add__(self, other):
-        s, m = _signed_diff(self.sign, self.log_mag, -other.sign, other.log_mag)
-        return SignedLogReal(s, m)
-
-
 def _signed_diff(sa, la, sb, lb):
     """(sign, log magnitude) of a - b for values given as signed log reals."""
     if sa == 0:
@@ -89,15 +52,6 @@ def _signed_pow(x, t):
         return 0, _NEG_INF
     sign = 1 if x > 0.0 or t % 2 == 0 else -1
     return sign, t * math.log(abs(x))
-
-
-def _log_abs_pow(x, t):
-    """log |x**t| for integer t >= 0."""
-    if t == 0:
-        return 0.0
-    if x == 0.0:
-        return _NEG_INF
-    return t * math.log(abs(x))
 
 
 def _log_sum(log_terms):
@@ -172,11 +126,9 @@ def star_profile(c):
     return ProfilePoint(c, _poisson_tv_raw(1.0 + math.exp(-c), 1.0))
 
 
-def rt_profile(c):
-    """Limit profile of random transpositions at time (1/2) n (log n + c)."""
-    if not PROFILE_C_MIN <= c <= PROFILE_C_MAX:
-        raise ValueError(f"c must be in [{PROFILE_C_MIN}, {PROFILE_C_MAX}]")
-    return ProfilePoint(c, _poisson_tv_raw(1.0 + math.exp(-c), 1.0))
+# By the paper's theorem random transpositions at time (1/2) n (log n + c) has
+# the same limit profile as star transpositions at its own cutoff n (log n + c).
+rt_profile = star_profile
 
 
 def profile_curve(c_min, c_max, step):
@@ -205,6 +157,8 @@ def cutoff_times(n, c):
     if n < 2:
         raise ValueError("n must be at least 2")
     x = n * (math.log(n) + c)
+    if not math.isfinite(x):
+        raise ValueError(f"cutoff time is not finite at n={n}, c={c}")
     t_star = math.floor(x + 0.5)
     t = math.floor(0.5 * x + 0.5)
     if t < 0 or t_star < 0:
@@ -275,28 +229,61 @@ def _check_bound_n(n):
         raise SizeLimitError(f"spectral sums limited to 2 <= n <= {BOUND_N_CAP}")
 
 
+def _check_truncation(n, truncation_m):
+    if not 1 <= truncation_m <= n // 2:
+        raise ValueError(f"truncation rank must be in [1, {n // 2}]")
+
+
+def _comparison_sums(n, t, t_star, truncation_m):
+    """One walk over the partitions of n for every comparison sum.
+
+    Returns (log S, terms), where S = sum over partitions and corners of
+    d * d_corner * (s^t - sbar^t*)^2 and terms are the four error terms of
+    bound_decomposition, split at lam_1 = n - truncation_m.
+    """
+    cut = n - truncation_m
+    log_terms = []
+    logs1 = []
+    logs2 = []
+    logs3 = []
+    logs4 = []
+    for lam1, lam1_t, logd, s, corner_data in _blocks(n):
+        ssign, slog = _signed_pow(s, t)
+        inner = lam1 <= cut and lam1_t <= cut
+        if lam1 <= cut:
+            logs1.append(2.0 * logd + 2.0 * slog)
+        for logd_red, sbar in corner_data:
+            bsign, blog = _signed_pow(sbar, t_star)
+            if inner:
+                logs2.append(logd + logd_red + 2.0 * blog)
+                logs3.append(logd + slog + logd_red + blog)
+            dsign, dlog = _signed_diff(ssign, slog, bsign, blog)
+            if dsign == 0:
+                continue
+            term = logd + logd_red + 2.0 * dlog
+            log_terms.append(term)
+            if lam1 > cut:
+                logs4.append(term)
+            if lam1_t > cut:
+                logs4.append(term)
+    terms = tuple(math.exp(_log_sum(logs)) for logs in (logs1, logs2, logs3, logs4))
+    return _log_sum(log_terms), terms
+
+
 def comparison_bound(n, c, truncation_m=None):
     """Evaluate the spectral comparison bound at the matched cutoff times.
 
     total = (1/2) sqrt(sum over partitions and corners of
-    d * d_corner * (s^t - sbar^t*)^2), accumulated in log space.
+    d * d_corner * (s^t - sbar^t*)^2), accumulated in log space; parts are
+    bound_decomposition(n, c, truncation_m), from the same pass.
     """
     _check_bound_n(n)
     t, t_star = cutoff_times(n, c)
-    log_terms = []
-    for _, _, logd, s, corner_data in _blocks(n):
-        ssign, slog = _signed_pow(s, t)
-        for logd_red, sbar in corner_data:
-            bsign, blog = _signed_pow(sbar, t_star)
-            dsign, dlog = _signed_diff(ssign, slog, bsign, blog)
-            if dsign == 0:
-                continue
-            log_terms.append(logd + logd_red + 2.0 * dlog)
-    log_total_sq = _log_sum(log_terms)
-    total = 0.0 if log_total_sq == _NEG_INF else 0.5 * math.exp(0.5 * log_total_sq)
     if truncation_m is None:
         truncation_m = min(5, n // 2)
-    parts = bound_decomposition(n, c, truncation_m)
+    _check_truncation(n, truncation_m)
+    log_total_sq, parts = _comparison_sums(n, t, t_star, truncation_m)
+    total = 0.5 * math.exp(0.5 * log_total_sq)
     return BoundReport(n, c, t, t_star, total, parts, truncation_m)
 
 
@@ -310,40 +297,9 @@ def bound_decomposition(n, c, truncation_m):
            squared differences.
     """
     _check_bound_n(n)
-    if not 1 <= truncation_m <= n // 2:
-        raise ValueError(f"truncation rank must be in [1, {n // 2}]")
+    _check_truncation(n, truncation_m)
     t, t_star = cutoff_times(n, c)
-    cut = n - truncation_m
-    logs1 = []
-    logs2 = []
-    logs3 = []
-    logs4 = []
-    for lam1, lam1_t, logd, s, corner_data in _blocks(n):
-        log_s_t = _log_abs_pow(s, t)
-        if lam1 <= cut:
-            logs1.append(2.0 * logd + 2.0 * log_s_t)
-            if lam1_t <= cut:
-                for logd_red, sbar in corner_data:
-                    log_b = _log_abs_pow(sbar, t_star)
-                    logs2.append(logd + logd_red + 2.0 * log_b)
-                    logs3.append(logd + log_s_t + logd_red + log_b)
-        if lam1 > cut or lam1_t > cut:
-            ssign, slog = _signed_pow(s, t)
-            for logd_red, sbar in corner_data:
-                bsign, blog = _signed_pow(sbar, t_star)
-                dsign, dlog = _signed_diff(ssign, slog, bsign, blog)
-                if dsign == 0:
-                    continue
-                term = logd + logd_red + 2.0 * dlog
-                if lam1 > cut:
-                    logs4.append(term)
-                if lam1_t > cut:
-                    logs4.append(term)
-    def _val(logs):
-        v = _log_sum(logs)
-        return 0.0 if v == _NEG_INF else math.exp(v)
-
-    return (_val(logs1), _val(logs2), _val(logs3), _val(logs4))
+    return _comparison_sums(n, t, t_star, truncation_m)[1]
 
 
 def l2_bound(chain, n, t):
@@ -358,9 +314,8 @@ def l2_bound(chain, n, t):
         if lam1 == n:  # trivial block
             continue
         if chain == "rt":
-            log_terms.append(2.0 * logd + _log_abs_pow(s, 2 * t))
+            log_terms.append(2.0 * logd + _signed_pow(s, 2 * t)[1])
         else:
             for logd_red, sbar in corner_data:
-                log_terms.append(logd + logd_red + _log_abs_pow(sbar, 2 * t))
-    v = _log_sum(log_terms)
-    return 0.0 if v == _NEG_INF else 0.5 * math.exp(0.5 * v)
+                log_terms.append(logd + logd_red + _signed_pow(sbar, 2 * t)[1])
+    return 0.5 * math.exp(0.5 * _log_sum(log_terms))

@@ -45,6 +45,24 @@ class TestExitCodes:
         code, _ = run_cli(["profile", "--c-min", "1", "--c-max", "0", "--step", "1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("c", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--n", "8"], ["compare", "--n", "5"], ["decompose", "--n", "8", "--M", "2"]],
+        ids=["bound", "compare", "decompose"],
+    )
+    def test_non_finite_c_is_one(self, argv, c, capsys):
+        code = cli.run(argv + [f"--c={c}"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_negative_t_max_is_one(self, capsys):
+        code = cli.run(["exact-tv", "--chain", "star", "--n", "4", "--t-max", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_usage_error_is_two(self, capsys):
         assert run_cli(["bound", "--n", "8"], capsys)[0] == 2  # missing --c
         assert run_cli(["no-such-command"], capsys)[0] == 2
@@ -131,3 +149,66 @@ class TestOutputModes:
         assert lines[0].split() == ["partition", "eigenvalue", "multiplicity", "chain"]
         # fixed-width columns: every padded row has the same length
         assert len({len(line) for line in lines}) == 1
+
+
+# Exact stdout recorded before the comparison sums were merged into one pass;
+# any change to these bytes is a change to the program's output.
+GOLDEN = {
+    "bound --n 30 --c -1": (
+        "n;c;t;tstar;total;term1;term2;term3;term4\n"
+        "30;-1;36;72;1.47096945818;6.4255928271;6.97871864076;5.50438575447;6.38402993299\n"
+    ),
+    "bound --n 12 --c 0.5 --M 3": (
+        "n;c;t;tstar;total;term1;term2;term3;term4\n"
+        "12;0.5;18;36;0.0768902955094;0.00158357536269;0.000112083937698;"
+        "7.33982612786e-05;0.0235661788434\n"
+    ),
+    "decompose --n 20 --c 0.25 --M 4": (
+        "n;c;M;term1;term2;term3;term4\n"
+        "20;0.25;4;0.00115038173819;6.93314069575e-05;3.97027162834e-05;0.0368640385602\n"
+    ),
+    "compare --n 6 --c 0": (
+        "n;c;t;tstar;tv_star;tv_rt;diff;bound\n"
+        "6;0;5;11;0.21605439709;0.263795534217;0.0477411371276;0.172070440353\n"
+    ),
+    "exact-tv --chain rt --n 5 --t-max 12": (
+        "n;chain;t;tv\n"
+        "5;rt;0;0.991666666667\n"
+        "5;rt;1;0.908333333333\n"
+        "5;rt;2;0.616666666667\n"
+        "5;rt;3;0.288546666667\n"
+        "5;rt;4;0.223450666667\n"
+        "5;rt;5;0.117595370667\n"
+        "5;rt;6;0.0793763242667\n"
+        "5;rt;7;0.0443489226411\n"
+        "5;rt;8;0.0283883515767\n"
+        "5;rt;9;0.0162282330632\n"
+        "5;rt;10;0.0101935977268\n"
+        "5;rt;11;0.00587626074152\n"
+        "5;rt;12;0.00366622022209\n"
+    ),
+    "verify --n 6": (
+        "check;status\n"
+        "dimension-squares-sum;pass\n"
+        "branching-rule;pass\n"
+        "transpose-duality;pass\n"
+        "dimension-bound;pass\n"
+        "corner-bounds;pass\n"
+        "completeness-rt;pass\n"
+        "completeness-star;pass\n"
+        "trace-rt;pass\n"
+        "trace-star;pass\n"
+        "transpose-antisymmetry;pass\n"
+        "commutation;pass\n"
+        "spectrum-vs-numeric;skip\n"
+        "comparison-inequality;pass\n"
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_stdout_bytes(self, command, capsys):
+        code, out = run_cli(command.split(), capsys)
+        assert code == 0
+        assert out.encode() == GOLDEN[command].encode()

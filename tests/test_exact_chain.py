@@ -118,6 +118,17 @@ class TestEvolve:
     def test_negative_time(self):
         with pytest.raises(ValueError):
             ec.evolve(ec.build_matrix("star", 3), 0, -1)
+        with pytest.raises(ValueError):  # raised at the call, before any step
+            ec.trajectory(ec.build_matrix("star", 3), 0, -3)
+
+    def test_trajectory_matches_matrix_powers(self):
+        m = ec.build_matrix("rt", 4)
+        dense = m.dense_float()
+        dists = list(ec.trajectory(m, 3, 6))
+        assert len(dists) == 7
+        for t, d in enumerate(dists):
+            expect = np.linalg.matrix_power(dense, t)[3]
+            assert np.abs(d - expect).max() < 1e-14
 
 
 class TestTotalVariation:

@@ -39,46 +39,51 @@ def naive_comparison_total(n, c):
     return 0.5 * math.sqrt(total)
 
 
-class TestSignedLogReal:
-    @given(st.floats(-1e6, 1e6).filter(lambda x: abs(x) > 1e-12 or x == 0.0))
-    def test_round_trip(self, x):
-        y = pr.SignedLogReal.from_float(x).to_float()
-        assert y == pytest.approx(x, rel=1e-12, abs=1e-300)
+def signed_log(x):
+    """A float as (sign, log magnitude), the form the comparison sums use."""
+    if x == 0.0:
+        return 0, float("-inf")
+    return (1 if x > 0 else -1), math.log(abs(x))
 
-    def test_multiplication(self):
-        a = pr.SignedLogReal.from_float(-3.0)
-        b = pr.SignedLogReal.from_float(4.0)
-        assert (a * b).to_float() == pytest.approx(-12.0, rel=1e-12)
+
+def signed_float(sign, log_mag):
+    return 0.0 if sign == 0 else sign * math.exp(log_mag)
+
+
+class TestSignedLogReal:
+    """The signed log-space helpers _signed_pow and _signed_diff."""
 
     def test_pow_sign_tracking(self):
-        x = pr.SignedLogReal.from_float(-0.5)
-        assert x.pow_int(3).to_float() == pytest.approx(-0.125, rel=1e-12)
-        assert x.pow_int(4).to_float() == pytest.approx(0.0625, rel=1e-12)
-        assert x.pow_int(0).to_float() == 1.0
+        assert signed_float(*pr._signed_pow(-0.5, 3)) == pytest.approx(-0.125, rel=1e-12)
+        assert signed_float(*pr._signed_pow(-0.5, 4)) == pytest.approx(0.0625, rel=1e-12)
+        assert pr._signed_pow(-0.5, 0) == (1, 0.0)
 
     def test_zero(self):
-        z = pr.SignedLogReal.from_float(0.0)
-        assert z.sign == 0 and z.to_float() == 0.0
-        assert z.pow_int(5).to_float() == 0.0
+        assert signed_log(0.0)[0] == 0
+        assert pr._signed_pow(0.0, 5) == (0, float("-inf"))
+        assert signed_float(*pr._signed_diff(*signed_log(0.0), *signed_log(3.0))) == (
+            pytest.approx(-3.0, rel=1e-12)
+        )
 
     def test_subtraction(self):
-        a = pr.SignedLogReal.from_float(5.0)
-        b = pr.SignedLogReal.from_float(3.0)
-        assert (a - b).to_float() == pytest.approx(2.0, rel=1e-12)
-        assert (b - a).to_float() == pytest.approx(-2.0, rel=1e-12)
-        assert (a - pr.SignedLogReal.from_float(-3.0)).to_float() == pytest.approx(8.0, rel=1e-12)
+        five, three = signed_log(5.0), signed_log(3.0)
+        assert signed_float(*pr._signed_diff(*five, *three)) == pytest.approx(2.0, rel=1e-12)
+        assert signed_float(*pr._signed_diff(*three, *five)) == pytest.approx(-2.0, rel=1e-12)
+        minus_three = signed_log(-3.0)
+        assert signed_float(*pr._signed_diff(*five, *minus_three)) == pytest.approx(
+            8.0, rel=1e-12
+        )
 
     def test_near_equal_guard(self):
-        a = pr.SignedLogReal.from_float(1.0)
-        b = pr.SignedLogReal(1, 5e-14)
-        assert (a - b).sign == 0
+        assert pr._signed_diff(*signed_log(1.0), 1, 5e-14)[0] == 0
 
     @given(
         st.floats(-50, 50).filter(lambda x: abs(x) > 1e-6),
         st.floats(-50, 50).filter(lambda x: abs(x) > 1e-6),
     )
     def test_addition_matches_floats(self, x, y):
-        got = (pr.SignedLogReal.from_float(x) + pr.SignedLogReal.from_float(y)).to_float()
+        sy, ly = signed_log(y)
+        got = signed_float(*pr._signed_diff(*signed_log(x), -sy, ly))
         assert got == pytest.approx(x + y, rel=1e-9, abs=1e-10)
 
 
@@ -200,6 +205,22 @@ class TestComparisonBound:
     def test_guard(self):
         with pytest.raises(SizeLimitError):
             pr.comparison_bound(61, 0.0)
+
+    def test_walks_partitions_once(self, monkeypatch):
+        calls = []
+        blocks = pr._blocks
+
+        def counting_blocks(n):
+            calls.append(n)
+            return blocks(n)
+
+        monkeypatch.setattr(pr, "_blocks", counting_blocks)
+        pr.comparison_bound(20, 0.0)
+        assert calls == [20]
+
+    def test_parts_equal_decomposition(self):
+        rep = pr.comparison_bound(20, -0.3, truncation_m=3)
+        assert rep.parts == pr.bound_decomposition(20, -0.3, 3)
 
 
 class TestBoundDecomposition:
