@@ -182,6 +182,8 @@ def _verify_checks(n):
 
 
 def _cmd_verify(args):
+    if args.n < 2:
+        raise ValueError("--n must be at least 2")
     rows = list(_verify_checks(args.n))
     text = _render(["check", "status"], rows, args.format)
     if any(st == "fail" for _, st in rows):

@@ -7,6 +7,8 @@ accumulated with a stable log-sum-exp.
 """
 
 import math
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,45 +25,47 @@ POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
 PROFILE_C_MAX = 12.0
 BOUND_N_CAP = 60
+_PROFILE_GRID_CAP = 100_000
 _TAIL_EPS = 1e-13
 _LOG_DIFF_GUARD = 1e-13
 
 _NEG_INF = float("-inf")
 
 
+def _signed_pow(sign, log_abs, t):
+    """x**t elementwise for x given as sign and log|x| arrays, integer t >= 0."""
+    if t == 0:  # x**0 = 1 also at x = 0, where t * log|x| would be nan
+        return np.ones_like(sign), np.zeros_like(log_abs)
+    return (sign if t % 2 else np.abs(sign)), t * log_abs
+
+
 def _signed_diff(sa, la, sb, lb):
-    """(sign, log magnitude) of a - b for values given as signed log reals."""
-    if sa == 0:
-        return -sb, lb
-    if sb == 0:
-        return sa, la
-    if sa == sb:
-        if abs(la - lb) < _LOG_DIFF_GUARD:
-            return 0, _NEG_INF  # below accumulation noise
-        if la > lb:
-            return sa, la + math.log1p(-math.exp(lb - la))
-        return -sa, lb + math.log1p(-math.exp(la - lb))
-    return sa, np.logaddexp(la, lb)
+    """Elementwise (sign, log magnitude) of a - b for signed log arrays.
 
-
-def _signed_pow(x, t):
-    """x**t for a float base and integer exponent, as (sign, log magnitude)."""
-    if t == 0:
-        return 1, 0.0
-    if x == 0.0:
-        return 0, _NEG_INF
-    sign = 1 if x > 0.0 or t % 2 == 0 else -1
-    return sign, t * math.log(abs(x))
+    Sign 0 marks a zero difference, which includes equal signs with log
+    magnitudes closer than the accumulation-noise guard; its log magnitude is
+    then meaningless.
+    """
+    sign = np.where(la > lb, sa, -sb)
+    hi = np.maximum(la, lb)
+    # nan (a = b = 0) and log1p(-1) (|a| = |b|) land only on entries that
+    # get sign 0 or are overwritten below
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dlog = np.minimum(la, lb) - hi
+        sign[(sa == sb) & (dlog > -_LOG_DIFF_GUARD)] = 0
+        dlog = hi + np.log1p(-np.exp(dlog))
+    opposite = sa * sb < 0
+    dlog[opposite] = np.logaddexp(la[opposite], lb[opposite])
+    return sign, dlog
 
 
 def _log_sum(log_terms):
-    if not log_terms:
+    if not log_terms.size:
         return _NEG_INF
-    arr = np.asarray(log_terms)
-    m = arr.max()
+    m = log_terms.max()
     if m == _NEG_INF:
         return _NEG_INF
-    return m + math.log(np.exp(arr - m).sum())
+    return m + math.log(np.exp(log_terms - m).sum())
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,14 @@ def poisson_tv(mu1, mu2):
     return _poisson_tv_raw(mu1, mu2)
 
 
-def star_profile(c):
-    """Limit profile of star transpositions at time n(log n + c)."""
+def _check_c(c):
     if not PROFILE_C_MIN <= c <= PROFILE_C_MAX:
         raise ValueError(f"c must be in [{PROFILE_C_MIN}, {PROFILE_C_MAX}]")
+
+
+def star_profile(c):
+    """Limit profile of star transpositions at time n(log n + c)."""
+    _check_c(c)
     return ProfilePoint(c, _poisson_tv_raw(1.0 + math.exp(-c), 1.0))
 
 
@@ -137,6 +145,8 @@ def profile_curve(c_min, c_max, step):
         raise ValueError("step must be positive")
     if c_min > c_max:
         raise ValueError("empty grid: c_min > c_max")
+    if not (c_max - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan
+        raise ValueError(f"grid has more than {_PROFILE_GRID_CAP} points")
     points = []
     k = 0
     while True:
@@ -151,14 +161,14 @@ def profile_curve(c_min, c_max, step):
 def cutoff_times(n, c):
     """Matched cutoff-window times: rt at (1/2) n (log n + c), star at n (log n + c).
 
+    c must lie in the limit profile's window [PROFILE_C_MIN, PROFILE_C_MAX].
     Rounds half-up, then bumps the rt time by one if the parities differ so the
     sign of negative eigenvalues raised to these powers matches.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_c(c)
     x = n * (math.log(n) + c)
-    if not math.isfinite(x):
-        raise ValueError(f"cutoff time is not finite at n={n}, c={c}")
     t_star = math.floor(x + 0.5)
     t = math.floor(0.5 * x + 0.5)
     if t < 0 or t_star < 0:
@@ -168,51 +178,55 @@ def cutoff_times(n, c):
     return t, t_star
 
 
-def _fast_log_dim(lam, tr, log_fact):
-    """log dimension with precomputed transpose; trusts its inputs."""
+def _log_dim_and_transpose(lam, log_fact):
+    """log dimension and transpose of a nonempty partition; trusts its inputs."""
+    tr = [0] * lam[0]
+    for p in lam:
+        for j in range(p):
+            tr[j] += 1
     table = _LOG_INT
     acc = log_fact
     for i, p in enumerate(lam):
         for j in range(p):
             acc -= table[(p - j) + (tr[j] - i) - 1]
-    return acc
+    return acc, tr
 
 
-@lru_cache(maxsize=4)
-def _log_dims_of(n):
-    """Map from every partition of n to its log dimension. Cached: the
-    comparison sums at a fixed n reuse the table for n-1 on every call."""
-    log_fact = _log_factorial(n)
-    out = {}
-    for lam in iter_partitions(n):
-        if not lam:
-            out[lam] = 0.0
-            continue
-        tr = [0] * lam[0]
-        for p in lam:
-            for j in range(p):
-                tr[j] += 1
-        out[lam] = _fast_log_dim(lam, tr, log_fact)
-    return out
+def _signs_and_logs(values):
+    """(sign, log|x|) columns of a float sequence; log|0| = -inf."""
+    logs = [math.log(abs(x)) if x else _NEG_INF for x in values]
+    return np.sign(values).astype(np.int8), np.array(logs)
 
 
-def _blocks(n):
-    """Per-partition spectral data for the comparison sums.
+_SpectralTable = namedtuple(
+    "_SpectralTable",
+    "lam1 lam1_t logd s_sign s_log parent logd_red sbar_idx sbar_sign sbar_log",
+)
 
-    Yields (lam_1, lam'_1, log d, s, corner list of (log d_corner, sbar)).
+
+@lru_cache(maxsize=1)
+def _spectral_table(n):
+    """Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
+    log d, sign and log|s|; per corner (row order) parent index, log d_corner
+    and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
+    sbar_log. Only the latest n is kept: callers evaluate one n at several
+    times, and a table holds 104 MB at n = 60.
     """
-    reduced_logd = _log_dims_of(n - 1)
+    log_fact = _log_factorial(n - 1)
+    reduced_logd = {
+        lam: _log_dim_and_transpose(lam, log_fact)[0] for lam in iter_partitions(n - 1)
+    }
     inv_cn2 = 1.0 / (n * (n - 1) // 2)
     log_fact = _log_factorial(n)
-    for lam in iter_partitions(n):
-        tr = [0] * lam[0]
-        for p in lam:
-            for j in range(p):
-                tr[j] += 1
+    lam1, lam1_t, parent, sbar_idx = array("i"), array("i"), array("i"), array("H")
+    logd, s, logd_red = array("d"), array("d"), array("d")
+    for idx, lam in enumerate(iter_partitions(n)):
+        lam_logd, tr = _log_dim_and_transpose(lam, log_fact)
         num = sum(p * (p - 1) // 2 for p in lam) - sum(q * (q - 1) // 2 for q in tr)
-        s = 1.0 / n + (n - 1) / n * (num * inv_cn2)
-        logd = _fast_log_dim(lam, tr, log_fact)
-        corner_data = []
+        s.append(1.0 / n + (n - 1) / n * (num * inv_cn2))
+        logd.append(lam_logd)
+        lam1.append(lam[0])
+        lam1_t.append(tr[0])
         k = len(lam)
         for i0, p in enumerate(lam):
             if i0 + 1 == k or lam[i0 + 1] < p:
@@ -220,8 +234,18 @@ def _blocks(n):
                     reduced = lam[:i0] + (p - 1,) + lam[i0 + 1:]
                 else:
                     reduced = lam[:i0] + lam[i0 + 1:]
-                corner_data.append((reduced_logd[reduced], (p - i0) / n))
-        yield lam[0], tr[0], logd, s, corner_data
+                parent.append(idx)
+                logd_red.append(reduced_logd[reduced])
+                sbar_idx.append(p - i0 + n - 2)
+    table = _SpectralTable(
+        *map(np.asarray, (lam1, lam1_t, logd)),
+        *_signs_and_logs(s),
+        *map(np.asarray, (parent, logd_red, sbar_idx)),
+        *_signs_and_logs([v / n for v in range(2 - n, n + 1)]),
+    )
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _check_bound_n(n):
@@ -235,39 +259,34 @@ def _check_truncation(n, truncation_m):
 
 
 def _comparison_sums(n, t, t_star, truncation_m):
-    """One walk over the partitions of n for every comparison sum.
+    """Every comparison sum at times (t, t*), evaluated on the table of n.
 
     Returns (log S, terms), where S = sum over partitions and corners of
     d * d_corner * (s^t - sbar^t*)^2 and terms are the four error terms of
-    bound_decomposition, split at lam_1 = n - truncation_m.
+    bound_decomposition, split at lam_1 = n - truncation_m. Each log-term
+    array lists its terms in table order, so every sum is reproducible.
     """
+    tab = _spectral_table(n)
     cut = n - truncation_m
-    log_terms = []
-    logs1 = []
-    logs2 = []
-    logs3 = []
-    logs4 = []
-    for lam1, lam1_t, logd, s, corner_data in _blocks(n):
-        ssign, slog = _signed_pow(s, t)
-        inner = lam1 <= cut and lam1_t <= cut
-        if lam1 <= cut:
-            logs1.append(2.0 * logd + 2.0 * slog)
-        for logd_red, sbar in corner_data:
-            bsign, blog = _signed_pow(sbar, t_star)
-            if inner:
-                logs2.append(logd + logd_red + 2.0 * blog)
-                logs3.append(logd + slog + logd_red + blog)
-            dsign, dlog = _signed_diff(ssign, slog, bsign, blog)
-            if dsign == 0:
-                continue
-            term = logd + logd_red + 2.0 * dlog
-            log_terms.append(term)
-            if lam1 > cut:
-                logs4.append(term)
-            if lam1_t > cut:
-                logs4.append(term)
-    terms = tuple(math.exp(_log_sum(logs)) for logs in (logs1, logs2, logs3, logs4))
-    return _log_sum(log_terms), terms
+    parent = tab.parent
+    ssign, slog = _signed_pow(tab.s_sign, tab.s_log, t)
+    bsign, blog = _signed_pow(tab.sbar_sign, tab.sbar_log, t_star)
+    bsign, blog = bsign[tab.sbar_idx], blog[tab.sbar_idx]
+    low = tab.lam1 <= cut
+    high_t = tab.lam1_t > cut
+    log1 = _log_sum(2.0 * tab.logd[low] + 2.0 * slog[low])
+    inner = (low & ~high_t)[parent]
+    owner = parent[inner]
+    log2 = _log_sum(tab.logd[owner] + tab.logd_red[inner] + 2.0 * blog[inner])
+    log3 = _log_sum(tab.logd[owner] + slog[owner] + tab.logd_red[inner] + blog[inner])
+    dsign, dlog = _signed_diff(ssign[parent], slog[parent], bsign, blog)
+    terms = tab.logd[parent] + tab.logd_red + 2.0 * dlog
+    kept = dsign != 0
+    # term4 sums the lam_1 > cut and the lam'_1 > cut sides; as cut >= n/2 and
+    # lam_1 + lam'_1 <= n + 1, no partition lies on both
+    log4 = _log_sum(terms[kept & (~low | high_t)[parent]])
+    parts = tuple(math.exp(v) for v in (log1, log2, log3, log4))
+    return _log_sum(terms[kept]), parts
 
 
 def comparison_bound(n, c, truncation_m=None):
@@ -275,7 +294,7 @@ def comparison_bound(n, c, truncation_m=None):
 
     total = (1/2) sqrt(sum over partitions and corners of
     d * d_corner * (s^t - sbar^t*)^2), accumulated in log space; parts are
-    bound_decomposition(n, c, truncation_m), from the same pass.
+    bound_decomposition(n, c, truncation_m), from the same evaluation.
     """
     _check_bound_n(n)
     t, t_star = cutoff_times(n, c)
@@ -309,13 +328,11 @@ def l2_bound(chain, n, t):
         raise ValueError("t must be nonnegative")
     if chain not in ("rt", "star"):
         raise ValueError(f"unknown chain {chain!r}")
-    log_terms = []
-    for lam1, _, logd, s, corner_data in _blocks(n):
-        if lam1 == n:  # trivial block
-            continue
-        if chain == "rt":
-            log_terms.append(2.0 * logd + _signed_pow(s, 2 * t)[1])
-        else:
-            for logd_red, sbar in corner_data:
-                log_terms.append(logd + logd_red + _signed_pow(sbar, 2 * t)[1])
-    return 0.5 * math.exp(0.5 * _log_sum(log_terms))
+    tab = _spectral_table(n)
+    if chain == "rt":
+        log_terms = 2.0 * tab.logd + _signed_pow(tab.s_sign, tab.s_log, 2 * t)[1]
+    else:
+        blog = _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][tab.sbar_idx]
+        log_terms = tab.logd[tab.parent] + tab.logd_red + blog
+    # the trivial block (n,) comes first and has a single corner
+    return 0.5 * math.exp(0.5 * _log_sum(log_terms[1:]))

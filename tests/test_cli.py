@@ -57,6 +57,24 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--n", "8", "--c", "1e300"], "c must be in"),
+            (["compare", "--n", "5", "--c", "13"], "c must be in"),
+            (["verify", "--n", "0"], "--n must be at least 2"),
+            (["verify", "--n", "1"], "--n must be at least 2"),
+            (["profile", "--c-min", "0", "--c-max", "1", "--step", "1e-9"], "points"),
+        ],
+        ids=["bound-c-1e300", "compare-c-13", "verify-n0", "verify-n1", "profile-1e9-points"],
+    )
+    def test_out_of_range_input_is_one(self, argv, message, capsys):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_negative_t_max_is_one(self, capsys):
         code = cli.run(["exact-tv", "--chain", "star", "--n", "4", "--t-max", "-3"])
         captured = capsys.readouterr()

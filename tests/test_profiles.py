@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -27,55 +28,91 @@ def poisson_tv_oracle(mu1, mu2, terms=500):
     return 0.5 * total
 
 
-def naive_comparison_total(n, c):
-    """Plain double-precision summation with exact dimensions (no log space)."""
-    t, t_star = pr.cutoff_times(n, c)
+def naive_sums(n, t, t_star, m):
+    """Plain double-precision comparison sum and its four error terms, with
+    exact dimensions (no log space); the split is at lam_1 = n - m."""
+    cut = n - m
     total = 0.0
+    parts = [0.0] * 4
     for lam in iter_partitions(n):
         d = exact_dim(lam)
         s = float(spectra.rt_eigenvalue(lam).s)
+        inner = lam[0] <= cut and len(lam) <= cut
+        if lam[0] <= cut:
+            parts[0] += d * d * s ** (2 * t)
         for e in spectra.star_eigenvalues(lam):
-            total += d * exact_dim(e.reduced) * (s**t - float(e.s_bar) ** t_star) ** 2
+            dr, sb = exact_dim(e.reduced), float(e.s_bar)
+            term = d * dr * (s**t - sb**t_star) ** 2
+            total += term
+            if inner:
+                parts[1] += d * dr * sb ** (2 * t_star)
+                parts[2] += d * abs(s) ** t * dr * abs(sb) ** t_star
+            parts[3] += term * ((lam[0] > cut) + (len(lam) > cut))
+    return total, parts
+
+
+def naive_l2(chain, n, t):
+    total = 0.0
+    for lam in iter_partitions(n):
+        if lam == (n,):
+            continue
+        d = exact_dim(lam)
+        if chain == "rt":
+            total += d * d * float(spectra.rt_eigenvalue(lam).s) ** (2 * t)
+        else:
+            for e in spectra.star_eigenvalues(lam):
+                total += d * exact_dim(e.reduced) * float(e.s_bar) ** (2 * t)
     return 0.5 * math.sqrt(total)
 
 
-def signed_log(x):
-    """A float as (sign, log magnitude), the form the comparison sums use."""
-    if x == 0.0:
-        return 0, float("-inf")
-    return (1 if x > 0 else -1), math.log(abs(x))
+def naive_comparison_total(n, c):
+    t, t_star = pr.cutoff_times(n, c)
+    return 0.5 * math.sqrt(naive_sums(n, t, t_star, 1)[0])
+
+
+def signed_log(*xs):
+    """Floats as (sign, log magnitude) arrays, the form the comparison sums use."""
+    xs = np.array(xs)
+    with np.errstate(divide="ignore"):
+        return np.sign(xs).astype(np.int8), np.log(np.abs(xs))
 
 
 def signed_float(sign, log_mag):
-    return 0.0 if sign == 0 else sign * math.exp(log_mag)
+    return np.where(sign == 0, 0.0, sign * np.exp(log_mag))
 
 
 class TestSignedLogReal:
-    """The signed log-space helpers _signed_pow and _signed_diff."""
+    """The vectorised signed log-space helpers _signed_pow and _signed_diff."""
 
     def test_pow_sign_tracking(self):
-        assert signed_float(*pr._signed_pow(-0.5, 3)) == pytest.approx(-0.125, rel=1e-12)
-        assert signed_float(*pr._signed_pow(-0.5, 4)) == pytest.approx(0.0625, rel=1e-12)
-        assert pr._signed_pow(-0.5, 0) == (1, 0.0)
+        x = signed_log(-0.5, 0.5)
+        assert signed_float(*pr._signed_pow(*x, 3)) == pytest.approx([-0.125, 0.125], rel=1e-12)
+        assert signed_float(*pr._signed_pow(*x, 4)) == pytest.approx([0.0625, 0.0625], rel=1e-12)
+        sign, log_mag = pr._signed_pow(*x, 0)
+        assert sign.tolist() == [1, 1] and log_mag.tolist() == [0.0, 0.0]
 
     def test_zero(self):
-        assert signed_log(0.0)[0] == 0
-        assert pr._signed_pow(0.0, 5) == (0, float("-inf"))
-        assert signed_float(*pr._signed_diff(*signed_log(0.0), *signed_log(3.0))) == (
-            pytest.approx(-3.0, rel=1e-12)
+        zero = signed_log(0.0)
+        assert zero[0][0] == 0
+        sign, log_mag = pr._signed_pow(*zero, 5)
+        assert sign[0] == 0 and log_mag[0] == float("-inf")
+        sign, log_mag = pr._signed_pow(*zero, 0)  # 0**0 = 1, not nan
+        assert sign[0] == 1 and log_mag[0] == 0.0
+        assert signed_float(*pr._signed_diff(*zero, *signed_log(3.0))) == (
+            pytest.approx([-3.0], rel=1e-12)
         )
+        assert signed_float(*pr._signed_diff(*signed_log(3.0), *zero)) == (
+            pytest.approx([3.0], rel=1e-12)
+        )
+        assert pr._signed_diff(*zero, *zero)[0][0] == 0
 
     def test_subtraction(self):
-        five, three = signed_log(5.0), signed_log(3.0)
-        assert signed_float(*pr._signed_diff(*five, *three)) == pytest.approx(2.0, rel=1e-12)
-        assert signed_float(*pr._signed_diff(*three, *five)) == pytest.approx(-2.0, rel=1e-12)
-        minus_three = signed_log(-3.0)
-        assert signed_float(*pr._signed_diff(*five, *minus_three)) == pytest.approx(
-            8.0, rel=1e-12
-        )
+        a, b = signed_log(5.0, 3.0, 5.0), signed_log(3.0, 5.0, -3.0)
+        assert signed_float(*pr._signed_diff(*a, *b)) == pytest.approx([2.0, -2.0, 8.0], rel=1e-12)
 
     def test_near_equal_guard(self):
-        assert pr._signed_diff(*signed_log(1.0), 1, 5e-14)[0] == 0
+        sign, _ = pr._signed_diff(*signed_log(1.0), np.array([1], np.int8), np.array([5e-14]))
+        assert sign[0] == 0
 
     @given(
         st.floats(-50, 50).filter(lambda x: abs(x) > 1e-6),
@@ -84,7 +121,7 @@ class TestSignedLogReal:
     def test_addition_matches_floats(self, x, y):
         sy, ly = signed_log(y)
         got = signed_float(*pr._signed_diff(*signed_log(x), -sy, ly))
-        assert got == pytest.approx(x + y, rel=1e-9, abs=1e-10)
+        assert got[0] == pytest.approx(x + y, rel=1e-9, abs=1e-10)
 
 
 class TestPoissonTv:
@@ -162,6 +199,8 @@ class TestProfileCurve:
             pr.profile_curve(1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             pr.profile_curve(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):  # 10^9 points
+            pr.profile_curve(0.0, 1.0, 1e-9)
 
 
 class TestCutoffTimes:
@@ -180,6 +219,13 @@ class TestCutoffTimes:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             pr.cutoff_times(5, -20.0)
+        with pytest.raises(ValueError, match="negative times"):  # c inside the window
+            pr.cutoff_times(5, -8.0)
+
+    @pytest.mark.parametrize("c", [1e300, 12.5, -8.5, float("nan")])
+    def test_c_outside_window_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be in"):
+            pr.cutoff_times(8, c)
 
 
 class TestComparisonBound:
@@ -207,16 +253,36 @@ class TestComparisonBound:
             pr.comparison_bound(61, 0.0)
 
     def test_walks_partitions_once(self, monkeypatch):
-        calls = []
-        blocks = pr._blocks
+        builds = []
+        build = pr._spectral_table.__wrapped__
 
-        def counting_blocks(n):
-            calls.append(n)
-            return blocks(n)
+        def counting_build(n):
+            builds.append(n)
+            return build(n)
 
-        monkeypatch.setattr(pr, "_blocks", counting_blocks)
+        monkeypatch.setattr(pr, "_spectral_table", functools.lru_cache(maxsize=1)(counting_build))
         pr.comparison_bound(20, 0.0)
-        assert calls == [20]
+        pr.bound_decomposition(20, 0.5, 3)
+        pr.l2_bound("rt", 20, 7)
+        pr.l2_bound("star", 20, 7)
+        assert builds == [20]
+        pr.l2_bound("star", 21, 7)
+        assert builds == [20, 21]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_edges_match_naive_sums(self, n):
+        # t = 0 and s = 0 (n = 2) are where t * log|s| would be nan
+        for t, t_star in ((0, 0), (0, 3), (3, 0), (1, 1)):
+            for m in range(1, n // 2 + 1):
+                want, want_parts = naive_sums(n, t, t_star, m)
+                log_total, parts = pr._comparison_sums(n, t, t_star, m)
+                assert math.exp(log_total) == pytest.approx(want, rel=1e-9, abs=0.0)
+                assert parts == pytest.approx(want_parts, rel=1e-9, abs=0.0)
+            rhs = ec.spectral_rhs(n, t, t_star)
+            assert rhs == pytest.approx(math.sqrt(want), rel=1e-9, abs=0.0)
+            for chain, steps in (("rt", t), ("star", t_star)):
+                want_l2 = naive_l2(chain, n, steps)
+                assert pr.l2_bound(chain, n, steps) == pytest.approx(want_l2, rel=1e-9, abs=0.0)
 
     def test_parts_equal_decomposition(self):
         rep = pr.comparison_bound(20, -0.3, truncation_m=3)
