@@ -34,11 +34,11 @@ from .exact_chain import (
     build_matrix,
     commutation_check,
     evolve,
-    jacobi_eigh,
     lemma_l2_check,
     numeric_eig_multiset,
     perm_rank,
     perm_unrank,
+    symmetric_eigvals,
     trajectory,
     tv_between,
     tv_to_uniform,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact_chain, profiles, spectra
-from .partitions import corners, enumerate_partitions, exact_dim, transpose
+from .partitions import EXACT_DIM_CAP, corners, enumerate_partitions, exact_dim, transpose
 
 SEP = ";"
 
@@ -184,6 +184,8 @@ def _verify_checks(n):
 def _cmd_verify(args):
     if args.n < 2:
         raise ValueError("--n must be at least 2")
+    if args.n > EXACT_DIM_CAP:
+        raise ValueError(f"--n must be at most {EXACT_DIM_CAP}")
     rows = list(_verify_checks(args.n))
     text = _render(["check", "status"], rows, args.format)
     if any(st == "fail" for _, st in rows):

@@ -83,23 +83,32 @@ class SparseScaledMatrix:
         return (self.mat != self.mat.T).nnz == 0
 
 
+def _lehmer_ranks(cols):
+    """Lehmer ranks of permutations stored by position: cols[i] holds sigma[i]
+    of every permutation. int32 holds every rank for n <= 12."""
+    n = len(cols)
+    ranks = np.zeros(cols.shape[1], dtype=np.int32)
+    smaller = np.empty(cols.shape[1], dtype=np.int8)
+    for i in range(n - 1):
+        # Horner form of sum_i smaller_i * (n - 1 - i)!, in place
+        smaller[:] = 0
+        for j in range(i + 1, n):
+            smaller += cols[j] < cols[i]
+        ranks *= n - i
+        ranks += smaller
+    return ranks
+
+
 def _build_from_weights(n, weights, scale):
     """Right-multiplication walk: weights maps generator tuple -> integer weight."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    gens = list(weights.items())
-    rows = np.empty(m * len(gens), dtype=np.int64)
-    cols = np.empty(m * len(gens), dtype=np.int64)
-    data = np.empty(m * len(gens), dtype=np.int64)
-    k = 0
-    for x, p in enumerate(perms):
-        for g, w in gens:
-            y = index[tuple(p[g[i]] for i in range(n))]
-            rows[k] = x
-            cols[k] = y
-            data[k] = w
-            k += 1
+    # itertools order is lexicographic, so column x holds the permutation of rank x
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8).T.copy()
+    m = perms.shape[1]
+    gens = np.array(list(weights), dtype=np.intp)
+    # x * g has sigma[g[i]] at position i; generator-major, one block per g
+    cols = _lehmer_ranks(perms[gens.T].reshape(n, -1))
+    rows = np.tile(np.arange(m, dtype=np.int32), len(gens))
+    data = np.repeat(np.array(list(weights.values()), dtype=np.int64), m)
     mat = sparse.csr_matrix((data, (rows, cols)), shape=(m, m), dtype=np.int64)
     mat.sum_duplicates()
     return SparseScaledMatrix(n, scale, mat)
@@ -201,54 +210,64 @@ def commutation_check(n):
     return exact_commutes(build_matrix("star", n), build_matrix("rt", n))
 
 
-def jacobi_eigh(a, rel_tol=1e-12, max_sweeps=60):
-    """Eigen-decomposition of a dense symmetric matrix by cyclic Jacobi sweeps.
+def _tridiagonalize(a):
+    """Householder reduction of a symmetric matrix (overwritten) to tridiagonal
+    form; returns its diagonal and subdiagonal."""
+    for k in range(a.shape[0] - 2):
+        x = a[k + 1 :, k]
+        if not x[1:].any():  # already tridiagonal in this column
+            continue
+        alpha = -math.copysign(np.linalg.norm(x), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v /= np.linalg.norm(v)
+        # (I - 2vv')A(I - 2vv') = A - 2(vw' + wv') with w = Av - (v'Av)v
+        sub = a[k + 1 :, k + 1 :]
+        w = sub @ v
+        w -= (v @ w) * v
+        sub -= 2.0 * (np.outer(v, w) + np.outer(w, v))
+        x[0] = alpha
+    return np.diag(a), np.diag(a, -1)
 
-    Returns (eigenvalues, eigenvector columns), unsorted. Convergence: the
-    off-diagonal Frobenius norm is driven below rel_tol times the Frobenius
-    norm of the input.
+
+def _sturm_count(diag, off, x):
+    """Number of eigenvalues below each entry of x for the symmetric
+    tridiagonal matrix (diag, off), by the signs of the LDL' pivots."""
+    e2 = np.r_[0.0, off * off]
+    # a zero pivot becomes -tiny; tiny keeps e2 / tiny finite
+    tiny = np.finfo(float).tiny * max(1.0, e2.max())
+    q = np.ones_like(x)
+    count = np.zeros(x.shape, dtype=np.int64)
+    for d, e in zip(diag, e2):
+        q = (d - x) - e / q
+        q[np.abs(q) < tiny] = -tiny
+        count += q < 0
+    return count
+
+
+def symmetric_eigvals(a):
+    """All eigenvalues of a dense symmetric matrix, ascending.
+
+    Householder tridiagonalisation, then Sturm-count bisection on every
+    eigenvalue index at once (Golub & Van Loan, Matrix Computations, 8.4),
+    halving the Gershgorin interval until it is a few ulps wide.
     """
     a = np.array(a, dtype=float)
-    m = a.shape[0]
+    m = a.shape[0] if a.ndim == 2 else -1
     if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("jacobi_eigh requires a symmetric square matrix")
-    v = np.eye(m)
-    fro = np.linalg.norm(a)
-    if fro == 0.0 or m == 1:
-        return np.diag(a).copy(), v
-    target = rel_tol * fro
-    skip = target / m  # rotations below this cannot push off-norm above target
-    for _ in range(max_sweeps):
-        # off-diagonal Frobenius norm, computed without cancellation
-        b = a.copy()
-        np.fill_diagonal(b, 0.0)
-        off = np.linalg.norm(b)
-        if off <= target:
-            return np.diag(a).copy(), v
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(1.0 + theta * theta)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise RuntimeError("Jacobi sweeps failed to converge")
+        raise ValueError("symmetric_eigvals requires a symmetric square matrix")
+    diag, off = _tridiagonalize(a)
+    radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    lo, hi = (diag - radius).min(initial=0.0), (diag + radius).max(initial=0.0)
+    ulp = np.finfo(float).eps * max(-lo, hi, np.finfo(float).tiny)
+    steps = math.ceil(math.log2(max(hi - lo, ulp) / ulp)) + 2
+    lo, hi, index = np.full(m, lo), np.full(m, hi), np.arange(m)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = _sturm_count(diag, off, mid) > index
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def numeric_eig_multiset(matrix):
@@ -257,8 +276,7 @@ def numeric_eig_multiset(matrix):
         raise SizeLimitError(f"dense eigensolve limited to n <= {MAX_DENSE_EIG_N}")
     if not matrix.is_symmetric_exact():
         raise ValueError("matrix must be symmetric")
-    w, _ = jacobi_eigh(matrix.dense_float())
-    return np.sort(w)
+    return symmetric_eigvals(matrix.dense_float())
 
 
 def spectral_rhs(n, t, t_star):

@@ -64,9 +64,17 @@ class TestExitCodes:
             (["compare", "--n", "5", "--c", "13"], "c must be in"),
             (["verify", "--n", "0"], "--n must be at least 2"),
             (["verify", "--n", "1"], "--n must be at least 2"),
+            (["verify", "--n", "31"], "--n must be at most 30"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "1e-9"], "points"),
         ],
-        ids=["bound-c-1e300", "compare-c-13", "verify-n0", "verify-n1", "profile-1e9-points"],
+        ids=[
+            "bound-c-1e300",
+            "compare-c-13",
+            "verify-n0",
+            "verify-n1",
+            "verify-n31",
+            "profile-1e9-points",
+        ],
     )
     def test_out_of_range_input_is_one(self, argv, message, capsys):
         code = cli.run(argv)

@@ -97,6 +97,45 @@ class TestBuildMatrix:
             ec.build_matrix("riffle", 4)
 
 
+def naive_matrix(n, weights):
+    """Dense integer matrix of the walk x -> x * g, state by state."""
+    m = math.factorial(n)
+    out = np.zeros((m, m), dtype=np.int64)
+    for x in range(m):
+        p = ec.perm_unrank(x, n)
+        for g, w in weights.items():
+            out[x, ec.perm_rank(tuple(p[g[i]] for i in range(n)))] += w
+    return out
+
+
+def swap(n, a, b):
+    g = list(range(n))
+    g[a], g[b] = g[b], g[a]
+    return tuple(g)
+
+
+class TestBuildMatrixOracle:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_naive_construction(self, n):
+        ident = tuple(range(n))
+        rt = {ident: n, **{swap(n, a, b): 2 for a in range(n) for b in range(a + 1, n)}}
+        star = {ident: 1, **{swap(n, 0, j): 1 for j in range(1, n)}}
+        skewed = {ident: 1, swap(n, 0, 1): n - 1}
+        cases = [
+            (ec.build_matrix("rt", n), rt, 2),
+            (ec.build_matrix("star", n), star, 1),
+            (ec.build_skewed_matrix(n), skewed, 1),
+        ]
+        for built, weights, scale in cases:
+            assert built.n == n and built.scale == scale
+            assert built.mat.dtype == np.int64
+            assert np.array_equal(built.mat.toarray(), naive_matrix(n, weights))
+
+    def test_vectorised_rank_is_itertools_order(self):
+        perms = np.array(list(itertools.permutations(range(6))), dtype=np.int8)
+        assert np.array_equal(ec._lehmer_ranks(perms.T), np.arange(720))
+
+
 class TestEvolve:
     def test_point_mass_at_zero_steps(self):
         m = ec.build_matrix("star", 4)
@@ -194,17 +233,56 @@ class TestJacobi:
         for m in (2, 5, 17, 40):
             a = rng.standard_normal((m, m))
             a = a + a.T
-            w, v = ec.jacobi_eigh(a)
-            order = np.argsort(w)
-            w = w[order]
-            v = v[:, order]
+            w = ec.symmetric_eigvals(a)
             assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-9)
-            assert np.allclose(a @ v, v * w, atol=1e-8)
-            assert np.allclose(v.T @ v, np.eye(m), atol=1e-10)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            ec.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            ec.symmetric_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            ec.symmetric_eigvals(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            ec.symmetric_eigvals(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "name", ["1x1", "zero", "diagonal", "zero-first-subcolumn", "3I-plus-rank-1"]
+    )
+    def test_edge_cases_against_numpy(self, name):
+        rng = np.random.default_rng(5)
+        if name == "1x1":
+            a = np.array([[-2.5]])
+        elif name == "zero":
+            a = np.zeros((4, 4))
+        elif name == "diagonal":
+            a = np.diag([3.0, -1.0, 0.5, 2.0, -1.0])
+        elif name == "zero-first-subcolumn":
+            a = rng.standard_normal((6, 6))
+            a = a + a.T
+            a[2:, 0] = a[0, 2:] = 0.0  # Householder has nothing to reflect at k = 0
+        else:
+            u = rng.standard_normal(10)
+            a = 3.0 * np.eye(10) + np.outer(u, u)  # eigenvalue 3 nine times
+        w = ec.symmetric_eigvals(a)
+        assert w.shape == (a.shape[0],)
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12
+
+    def test_sturm_count_survives_zero_pivot(self):
+        # x = 1 makes the first pivot exactly zero; it must count as negative
+        # and must not turn the later pivots into nan
+        diag, off = np.array([1.0, 0.0, -5.0]), np.zeros(2)
+        with np.errstate(all="raise"):
+            assert ec._sturm_count(diag, off, np.array([1.0, 0.5])).tolist() == [3, 2]
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sturm_counts_give_formula_multiplicities(self, chain, n):
+        diag, off = ec._tridiagonalize(ec.build_matrix(chain, n).dense_float())
+        formula = formula_multiset(chain, n)
+        values = np.array([v for v, _ in formula])
+        counts = ec._sturm_count(diag, off, values + 1e-9) - ec._sturm_count(
+            diag, off, values - 1e-9
+        )
+        assert counts.tolist() == [mult for _, mult in formula]
 
     def test_star_n3_multiset(self):
         w = ec.numeric_eig_multiset(ec.build_matrix("star", 3))
