@@ -254,9 +254,13 @@ def symmetric_eigvals(a):
     """
     a = np.array(a, dtype=float)
     m = a.shape[0] if a.ndim == 2 else -1
+    if not np.isfinite(a).all():
+        raise ValueError("symmetric_eigvals requires finite entries; the input holds inf or nan")
     if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("symmetric_eigvals requires a symmetric square matrix")
-    diag, off = _tridiagonalize(a)
+    # exact rescaling to max|a| in [1/2, 1) (none for a = 0): the width stays normal
+    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    diag, off = _tridiagonalize(np.ldexp(a, -e, out=a))
     radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
     lo, hi = (diag - radius).min(initial=0.0), (diag + radius).max(initial=0.0)
     ulp = np.finfo(float).eps * max(-lo, hi, np.finfo(float).tiny)
@@ -267,7 +271,7 @@ def symmetric_eigvals(a):
         below = _sturm_count(diag, off, mid) > index
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-    return 0.5 * (lo + hi)
+    return np.ldexp(0.5 * (lo + hi), e)
 
 
 def numeric_eig_multiset(matrix):

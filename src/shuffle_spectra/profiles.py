@@ -6,20 +6,15 @@ every factor is carried as a sign plus a natural-log magnitude and the sum is
 accumulated with a stable log-sum-exp.
 """
 
+import itertools
 import math
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .partitions import (
-    _LOG_INT,
-    SizeLimitError,
-    _log_factorial,
-    iter_partitions,
-)
+from .partitions import _LOG_INT, SizeLimitError, _log_factorial, iter_partitions
 
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
@@ -148,14 +143,11 @@ def profile_curve(c_min, c_max, step):
     if not (c_max - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan
         raise ValueError(f"grid has more than {_PROFILE_GRID_CAP} points")
     points = []
-    k = 0
-    while True:
+    for k in itertools.count():
         c = c_min + k * step
         if c > c_max + 1e-9:
-            break
+            return points
         points.append(star_profile(c))
-        k += 1
-    return points
 
 
 def cutoff_times(n, c):
@@ -178,20 +170,6 @@ def cutoff_times(n, c):
     return t, t_star
 
 
-def _log_dim_and_transpose(lam, log_fact):
-    """log dimension and transpose of a nonempty partition; trusts its inputs."""
-    tr = [0] * lam[0]
-    for p in lam:
-        for j in range(p):
-            tr[j] += 1
-    table = _LOG_INT
-    acc = log_fact
-    for i, p in enumerate(lam):
-        for j in range(p):
-            acc -= table[(p - j) + (tr[j] - i) - 1]
-    return acc, tr
-
-
 def _signs_and_logs(values):
     """(sign, log|x|) columns of a float sequence; log|0| = -inf."""
     logs = [math.log(abs(x)) if x else _NEG_INF for x in values]
@@ -202,6 +180,15 @@ _SpectralTable = namedtuple(
     "_SpectralTable",
     "lam1 lam1_t logd s_sign s_log parent logd_red sbar_idx sbar_sign sbar_log",
 )
+_TABLE_CHUNK = 1024  # partitions per vectorised block of the table build
+
+
+def _log_dims(log_fact, hooks):
+    """log n! less the log of each row's hooks, in a scalar walk's box order."""
+    acc = np.full(len(hooks), log_fact)
+    for column in np.array(_LOG_INT)[hooks.T]:
+        acc -= column
+    return acc
 
 
 @lru_cache(maxsize=1)
@@ -210,39 +197,48 @@ def _spectral_table(n):
     log d, sign and log|s|; per corner (row order) parent index, log d_corner
     and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
     sbar_log. Only the latest n is kept: callers evaluate one n at several
-    times, and a table holds 104 MB at n = 60.
+    times, and a table holds 104 MB at n = 60. Built in numpy blocks of
+    _TABLE_CHUNK partitions, boxes row by row, hooks lam_i - j + lam'_j - i - 1;
+    a corner's reduced shape takes its parent's hooks less one in the corner's
+    row and column, the corner's own set to 1, so n - 1 is never enumerated.
     """
-    log_fact = _log_factorial(n - 1)
-    reduced_logd = {
-        lam: _log_dim_and_transpose(lam, log_fact)[0] for lam in iter_partitions(n - 1)
-    }
-    inv_cn2 = 1.0 / (n * (n - 1) // 2)
-    log_fact = _log_factorial(n)
-    lam1, lam1_t, parent, sbar_idx = array("i"), array("i"), array("i"), array("H")
-    logd, s, logd_red = array("d"), array("d"), array("d")
-    for idx, lam in enumerate(iter_partitions(n)):
-        lam_logd, tr = _log_dim_and_transpose(lam, log_fact)
-        num = sum(p * (p - 1) // 2 for p in lam) - sum(q * (q - 1) // 2 for q in tr)
-        s.append(1.0 / n + (n - 1) / n * (num * inv_cn2))
-        logd.append(lam_logd)
-        lam1.append(lam[0])
-        lam1_t.append(tr[0])
-        k = len(lam)
-        for i0, p in enumerate(lam):
-            if i0 + 1 == k or lam[i0 + 1] < p:
-                if p > 1:
-                    reduced = lam[:i0] + (p - 1,) + lam[i0 + 1:]
-                else:
-                    reduced = lam[:i0] + lam[i0 + 1:]
-                parent.append(idx)
-                logd_red.append(reduced_logd[reduced])
-                sbar_idx.append(p - i0 + n - 2)
-    table = _SpectralTable(
-        *map(np.asarray, (lam1, lam1_t, logd)),
-        *_signs_and_logs(s),
-        *map(np.asarray, (parent, logd_red, sbar_idx)),
-        *_signs_and_logs([v / n for v in range(2 - n, n + 1)]),
-    )
+    count = [1] + [0] * n  # count[k] = p(k), the number of partitions of k
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            count[k] += count[k - part]
+    lam1, lam1_t, s_sign, logd, s_log = (np.empty(count[n], t) for t in "i4 i4 i1 f8 f8".split())
+    # a corner is a distinct part, and p(n - k) partitions of n have a part k
+    parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
+    log_fact, log_red, inv_cn2 = _log_factorial(n), _log_factorial(n - 1), 1 / (n * (n - 1) // 2)
+    parts, r0, c0 = iter_partitions(n), 0, 0
+    while chunk := list(itertools.islice(parts, _TABLE_CHUNK)):
+        m, lens = len(chunk), np.fromiter(map(len, chunk), np.intp, len(chunk))
+        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, lens.sum())
+        row = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        lam = np.zeros((m, n + 1), np.intp)
+        lam[np.repeat(np.arange(m), lens), row] = flat
+        # the n boxes of each partition, row by row: row i, column j, lam_i
+        box = np.arange(m * n)
+        box_i, box_lam = np.repeat(row, flat), np.repeat(flat, flat)
+        box_j = box - np.repeat(np.cumsum(flat) - flat, flat)
+        cell = box - box % n + box_j  # lam'_j of the box's partition
+        lam_t = np.bincount(cell, minlength=m * n)
+        hook = (box_lam - box_j + lam_t[cell] - box_i - 1).reshape(m, n)
+        lam_t, box_i, box_j = lam_t.reshape(m, n), box_i.reshape(m, n), box_j.reshape(m, n)
+        num = (lam * (lam - 1) // 2).sum(1) - (lam_t * (lam_t - 1) // 2).sum(1)
+        s = 1.0 / n + (n - 1) / n * (num * inv_cn2)
+        rs = slice(r0, r0 + m)
+        lam1[rs], lam1_t[rs], logd[rs] = lam[:, 0], lam_t[:, 0], _log_dims(log_fact, hook)
+        s_sign[rs], s_log[rs] = _signs_and_logs(s.tolist())
+        r, i = np.nonzero(lam[:, :-1] > lam[:, 1:])  # corner (i, j) of partition r
+        j = lam[r, i] - 1
+        red = hook[r] - ((box_i[r] == i[:, None]) | (box_j[r] == j[:, None]))
+        red[np.arange(r.size), lam.cumsum(1)[r, i] - 1] = 1  # the removed box: log 1 = 0
+        cs = slice(c0, c0 + r.size)
+        parent[cs], sbar_idx[cs], logd_red[cs] = r + r0, j - i + n - 1, _log_dims(log_red, red)
+        r0, c0 = r0 + m, c0 + r.size
+    sbar = _signs_and_logs([v / n for v in range(2 - n, n + 1)])
+    table = _SpectralTable(lam1, lam1_t, logd, s_sign, s_log, parent, logd_red, sbar_idx, *sbar)
     for column in table:
         column.flags.writeable = False
     return table

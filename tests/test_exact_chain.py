@@ -244,6 +244,23 @@ class TestJacobi:
         with pytest.raises(ValueError):
             ec.symmetric_eigvals(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(ValueError, match="finite entries; the input holds inf or nan"):
+            ec.symmetric_eigvals(a)
+
+    def test_near_underflow(self):
+        (w,) = ec.symmetric_eigvals([[1e-300]])
+        assert w == pytest.approx(1e-300, rel=1e-15, abs=0.0)
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((6, 6))
+        b = b + b.T
+        a = b * 1e-300
+        err = np.abs(ec.symmetric_eigvals(a) - np.linalg.eigvalsh(a)).max()
+        assert err <= 1e-12 * np.linalg.norm(b) * 1e-300  # the norm of a underflows
+
     @pytest.mark.parametrize(
         "name", ["1x1", "zero", "diagonal", "zero-first-subcolumn", "3I-plus-rank-1"]
     )

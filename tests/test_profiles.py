@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -362,3 +363,98 @@ class TestL2Bound:
             pr.l2_bound("star", 8, -1)
         with pytest.raises(ValueError):
             pr.l2_bound("riffle", 8, 1)
+
+
+def partition_counts(n):
+    """p(0), ..., p(n) by the coin-change recurrence over part sizes."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
+
+
+def scalar_log_dim(lam):
+    """log of the hook-length formula, one box at a time."""
+    if not lam:
+        return 0.0
+    cols = [sum(1 for p in lam if p > j) for j in range(lam[0])]
+    acc = math.lgamma(sum(lam) + 1)
+    for i, p in enumerate(lam):
+        for j in range(p):
+            acc -= math.log((p - j) + (cols[j] - i) - 1)
+    return acc
+
+
+def scalar_table(n):
+    """Per-partition and per-corner columns from plain loops: each corner's
+    reduced shape is built explicitly and its dimension computed anew;
+    s is exact, as a Fraction."""
+    rows = {"lam1": [], "lam1_t": [], "logd": [], "s": []}
+    corners = {"parent": [], "logd_red": [], "sbar_idx": [], "sbar": []}
+    for idx, lam in enumerate(iter_partitions(n)):
+        cols = [sum(1 for p in lam if p > j) for j in range(lam[0])]
+        num = sum(p * (p - 1) // 2 for p in lam) - sum(q * (q - 1) // 2 for q in cols)
+        rows["lam1"].append(lam[0])
+        rows["lam1_t"].append(len(lam))
+        rows["logd"].append(scalar_log_dim(lam))
+        rows["s"].append(Fraction(1, n) + Fraction((n - 1) * num, n * (n * (n - 1) // 2)))
+        for i, p in enumerate(lam):
+            if i + 1 < len(lam) and lam[i + 1] == p:
+                continue  # the box (i, p - 1) has a box below it
+            reduced = list(lam)
+            reduced[i] -= 1
+            corners["parent"].append(idx)
+            corners["logd_red"].append(scalar_log_dim(tuple(x for x in reduced if x)))
+            corners["sbar_idx"].append(p - i + n - 2)
+            corners["sbar"].append(Fraction(p - i, n))
+    return rows, corners
+
+
+def sign_of(x):
+    return (x > 0) - (x < 0)
+
+
+class TestSpectralTable:
+    @pytest.mark.parametrize("n", range(2, 23))
+    def test_matches_scalar_construction(self, n):
+        tab = pr._spectral_table.__wrapped__(n)
+        rows, corners = scalar_table(n)
+        counts = partition_counts(n)
+        assert len(tab.lam1) == counts[n]
+        assert len(tab.parent) == sum(counts[n - k] for k in range(1, n + 1))
+        for name in ("lam1", "lam1_t"):
+            assert getattr(tab, name).tolist() == rows[name]
+        for name in ("parent", "sbar_idx"):
+            assert getattr(tab, name).tolist() == corners[name]
+        np.testing.assert_allclose(tab.logd, rows["logd"], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(tab.logd_red, corners["logd_red"], rtol=1e-12, atol=1e-12)
+        s_exact = rows["s"]
+        nonzero = np.array([s != 0 for s in s_exact])
+        assert tab.s_sign[nonzero].tolist() == [sign_of(s) for s in s_exact if s]
+        np.testing.assert_allclose(
+            tab.s_log[nonzero], [math.log(abs(s)) for s in s_exact if s], rtol=1e-12
+        )
+        # an exactly zero s is computed in floating point and may keep a
+        # rounding residue, never more
+        assert np.all(tab.s_log[~nonzero] < math.log(1e-15))
+        sbar = corners["sbar"]
+        idx = tab.sbar_idx
+        assert tab.sbar_sign[idx].tolist() == [sign_of(v) for v in sbar]
+        np.testing.assert_allclose(
+            tab.sbar_log[idx], [math.log(abs(v)) if v else -math.inf for v in sbar], rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries(self, monkeypatch, chunk):
+        want = pr._spectral_table.__wrapped__(20)
+        monkeypatch.setattr(pr, "_TABLE_CHUNK", chunk)
+        got = pr._spectral_table.__wrapped__(20)
+        for name, column in zip(want._fields, got):
+            expected = getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
+
+    def test_columns_are_read_only(self):
+        tab = pr._spectral_table(9)
+        assert not any(column.flags.writeable for column in tab)
