@@ -7,24 +7,24 @@ transpose antisymmetry of the normalized eigenvalues.
 from fractions import Fraction
 
 from shuffle_spectra import spectra
-from shuffle_spectra.partitions import transpose
+from shuffle_spectra.partitions import enumerate_partitions, transpose
 
 N = 5
 
 
 def main():
     print(f"random transpositions on S_{N}: one eigenvalue per partition")
-    for block in spectra.full_spectrum("rt", N):
-        e = block.rt
-        print(f"  {str(block.lam):<18} s = {str(e.s):>6}   mult d^2 = {e.mult.value}")
+    for lam in enumerate_partitions(N):
+        e = spectra.rt_eigenvalue(lam)
+        print(f"  {str(lam):<18} s = {str(e.s):>6}   mult d^2 = {e.mult}")
 
     print()
     print(f"star transpositions on S_{N}: one eigenvalue per removable corner")
-    for block in spectra.full_spectrum("star", N):
-        for e in block.star:
+    for lam in enumerate_partitions(N):
+        for e in spectra.star_eigenvalues(lam):
             print(
-                f"  {str(block.lam):<18} corner row {e.corner_row}: "
-                f"sbar = {str(e.s_bar):>6}   mult d*d_corner = {e.mult.value}"
+                f"  {str(lam):<18} corner row {e.corner_row}: "
+                f"sbar = {str(e.s_bar):>6}   mult d*d_corner = {e.mult}"
             )
 
     print()

@@ -1,7 +1,7 @@
 """Spectral comparison toolkit for star and random transpositions on S_n.
 
 Modules:
-    partitions   integer partitions, Young diagrams, hook lengths, dimensions
+    partitions   integer partitions, Young diagrams, corners, exact dimensions
     spectra      closed-form eigenvalues with multiplicities for both shuffles
     exact_chain  brute-force engine over S_n at small n (exact matrices, TV)
     profiles     Poisson limit profile and the log-space comparison bound
@@ -9,22 +9,16 @@ Modules:
 """
 
 from .partitions import (
-    BigDim,
     Corner,
     SizeLimitError,
     corners,
-    dim,
     enumerate_partitions,
     exact_dim,
-    hooks,
-    log_dim,
     transpose,
 )
 from .spectra import (
     RtEig,
-    SpectralBlock,
     StarEig,
-    full_spectrum,
     rt_eigenvalue,
     spectrum_trace,
     star_eigenvalues,
@@ -36,8 +30,6 @@ from .exact_chain import (
     evolve,
     lemma_l2_check,
     numeric_eig_multiset,
-    perm_rank,
-    perm_unrank,
     symmetric_eigvals,
     trajectory,
     tv_between,

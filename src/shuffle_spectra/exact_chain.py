@@ -19,46 +19,9 @@ from scipy import sparse
 from .partitions import SizeLimitError
 from .profiles import _comparison_sums
 
-MAX_PERM_N = 10
 MAX_BUILD_N = 8
 MAX_EXACT_PRODUCT_N = 7
 MAX_DENSE_EIG_N = 6
-
-
-def _check_perm(sigma):
-    sigma = tuple(sigma)
-    n = len(sigma)
-    if n > MAX_PERM_N:
-        raise SizeLimitError(f"permutation indexing limited to n <= {MAX_PERM_N}")
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
-    return sigma
-
-
-def perm_rank(sigma):
-    """Lehmer rank in [0, n!); the identity maps to 0."""
-    sigma = _check_perm(sigma)
-    n = len(sigma)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if sigma[j] < sigma[i])
-        rank += smaller * math.factorial(n - 1 - i)
-    return rank
-
-
-def perm_unrank(rank, n):
-    """Inverse of perm_rank."""
-    if n > MAX_PERM_N:
-        raise SizeLimitError(f"permutation indexing limited to n <= {MAX_PERM_N}")
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    avail = list(range(n))
-    out = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        q, rank = divmod(rank, f)
-        out.append(avail.pop(q))
-    return tuple(out)
 
 
 @dataclass
@@ -256,11 +219,13 @@ def symmetric_eigvals(a):
     m = a.shape[0] if a.ndim == 2 else -1
     if not np.isfinite(a).all():
         raise ValueError("symmetric_eigvals requires finite entries; the input holds inf or nan")
+    # exact rescaling to max|a| in [1/2, 1) (none for a = 0): the width stays normal,
+    # and the symmetry tolerance below does not depend on the matrix's scale
+    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    np.ldexp(a, -e, out=a)
     if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("symmetric_eigvals requires a symmetric square matrix")
-    # exact rescaling to max|a| in [1/2, 1) (none for a = 0): the width stays normal
-    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
-    diag, off = _tridiagonalize(np.ldexp(a, -e, out=a))
+    diag, off = _tridiagonalize(a)
     radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
     lo, hi = (diag - radius).min(initial=0.0), (diag + radius).max(initial=0.0)
     ulp = np.finfo(float).eps * max(-lo, hi, np.finfo(float).tiny)

@@ -6,13 +6,9 @@ The empty tuple is the unique partition of 0.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 PARTITION_CAP = 100
 EXACT_DIM_CAP = 30
-
-# log table for hook lengths; hooks never exceed the partition size
-_LOG_INT = [float("-inf")] + [math.log(k) for k in range(1, PARTITION_CAP + 2)]
 
 
 class SizeLimitError(ValueError):
@@ -30,12 +26,12 @@ def check_partition(parts):
     return parts
 
 
-def enumerate_partitions(n, cap=PARTITION_CAP):
+def enumerate_partitions(n):
     """All partitions of n in reverse-lexicographic order, starting at (n,)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise SizeLimitError(f"n={n} exceeds partition cap {cap}")
+    if n > PARTITION_CAP:
+        raise SizeLimitError(f"n={n} exceeds partition cap {PARTITION_CAP}")
     return list(iter_partitions(n))
 
 
@@ -75,80 +71,16 @@ def transpose(parts):
     return tuple(t)
 
 
-def hooks(parts):
-    """Hook lengths of every box, row by row. List of length sum(parts)."""
-    parts = check_partition(parts)
-    if not parts:
-        raise ValueError("hooks of the empty partition are undefined")
-    tr = transpose(parts)
-    out = []
-    for i, p in enumerate(parts):
-        for j in range(p):
-            out.append((p - j) + (tr[j] - i) - 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _log_factorial(n):
-    return math.lgamma(n + 1)
-
-
-def log_dim(parts, tr=None):
-    """log of the number of standard Young tableaux, via log n! - sum log hooks.
-
-    Pass a precomputed transpose as tr to skip recomputing it in hot loops.
-    """
-    parts = check_partition(parts)
-    n = sum(parts)
-    if n == 0:
-        return 0.0
-    if tr is None:
-        tr = transpose(parts)
-    acc = _log_factorial(n)
-    table = _LOG_INT
-    limit = len(table)
-    for i, p in enumerate(parts):
-        for j in range(p):
-            h = (p - j) + (tr[j] - i) - 1
-            acc -= table[h] if h < limit else math.log(h)
-    return acc
-
-
-@dataclass(frozen=True)
-class BigDim:
-    """Dimension d of an irreducible block: exact integer when available plus log."""
-
-    value: "int | None"
-    log_value: float
-
-    def __mul__(self, other):
-        v = None
-        if self.value is not None and other.value is not None:
-            v = self.value * other.value
-        return BigDim(v, self.log_value + other.log_value)
-
-    def squared(self):
-        v = self.value * self.value if self.value is not None else None
-        return BigDim(v, 2.0 * self.log_value)
-
-
 def exact_dim(parts):
     """Exact SYT count via the hook length formula. Guarded at EXACT_DIM_CAP."""
     parts = check_partition(parts)
     n = sum(parts)
     if n > EXACT_DIM_CAP:
         raise SizeLimitError(f"exact dimension limited to n <= {EXACT_DIM_CAP}")
-    if n == 0:
-        return 1
-    return math.factorial(n) // math.prod(hooks(parts))
-
-
-def dim(parts):
-    """Dimension as a BigDim; exact value populated only up to EXACT_DIM_CAP."""
-    parts = check_partition(parts)
-    n = sum(parts)
-    value = exact_dim(parts) if n <= EXACT_DIM_CAP else None
-    return BigDim(value, log_dim(parts))
+    # box (i, j) has hook (p_i - j) + (p'_j - i) - 1
+    tr = transpose(parts)
+    hook_product = math.prod(p - j + tr[j] - i - 1 for i, p in enumerate(parts) for j in range(p))
+    return math.factorial(n) // hook_product
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import _LOG_INT, SizeLimitError, _log_factorial, iter_partitions
+from .partitions import SizeLimitError, iter_partitions
 
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
@@ -25,6 +25,8 @@ _TAIL_EPS = 1e-13
 _LOG_DIFF_GUARD = 1e-13
 
 _NEG_INF = float("-inf")
+# log of every hook length; a hook never exceeds n <= BOUND_N_CAP
+_LOG_INT = np.array([_NEG_INF] + [math.log(k) for k in range(1, BOUND_N_CAP + 1)])
 
 
 def _signed_pow(sign, log_abs, t):
@@ -186,7 +188,7 @@ _TABLE_CHUNK = 1024  # partitions per vectorised block of the table build
 def _log_dims(log_fact, hooks):
     """log n! less the log of each row's hooks, in a scalar walk's box order."""
     acc = np.full(len(hooks), log_fact)
-    for column in np.array(_LOG_INT)[hooks.T]:
+    for column in _LOG_INT[hooks.T]:
         acc -= column
     return acc
 
@@ -209,7 +211,7 @@ def _spectral_table(n):
     lam1, lam1_t, s_sign, logd, s_log = (np.empty(count[n], t) for t in "i4 i4 i1 f8 f8".split())
     # a corner is a distinct part, and p(n - k) partitions of n have a part k
     parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
-    log_fact, log_red, inv_cn2 = _log_factorial(n), _log_factorial(n - 1), 1 / (n * (n - 1) // 2)
+    log_fact, log_red, inv_cn2 = math.lgamma(n + 1), math.lgamma(n), 1 / (n * (n - 1) // 2)
     parts, r0, c0 = iter_partitions(n), 0, 0
     while chunk := list(itertools.islice(parts, _TABLE_CHUNK)):
         m, lens = len(chunk), np.fromiter(map(len, chunk), np.intp, len(chunk))

@@ -11,13 +11,11 @@ from math import comb
 
 from .partitions import (
     EXACT_DIM_CAP,
-    PARTITION_CAP,
-    BigDim,
     SizeLimitError,
     check_partition,
     corners,
-    dim,
     enumerate_partitions,
+    exact_dim,
     transpose,
 )
 
@@ -33,7 +31,11 @@ class RtEig:
     lam: tuple
     r: Fraction
     s: Fraction
-    mult: BigDim
+
+    @property
+    def mult(self):
+        """Exact d^2; like exact_dim, limited to n <= EXACT_DIM_CAP."""
+        return exact_dim(self.lam) ** 2
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,11 @@ class StarEig:
     corner_row: int
     reduced: tuple
     s_bar: Fraction
-    mult: BigDim
 
-
-@dataclass(frozen=True)
-class SpectralBlock:
-    """All eigenvalues attached to one partition of n."""
-
-    lam: tuple
-    rt: RtEig
-    star: "tuple[StarEig, ...] | None"
-
-
-def _check_chain(chain):
-    if chain not in CHAINS:
-        raise ValueError(f"chain must be one of {CHAINS}, got {chain!r}")
+    @property
+    def mult(self):
+        """Exact d * d_corner; like exact_dim, limited to n <= EXACT_DIM_CAP."""
+        return exact_dim(self.lam) * exact_dim(self.reduced)
 
 
 def rt_r(parts):
@@ -79,7 +71,7 @@ def rt_eigenvalue(parts):
         raise ValueError("need a partition of n >= 2")
     r = rt_r(parts)
     s = Fraction(1, n) + Fraction(n - 1, n) * r
-    return RtEig(parts, r, s, dim(parts).squared())
+    return RtEig(parts, r, s)
 
 
 def star_eigenvalues(parts):
@@ -88,67 +80,43 @@ def star_eigenvalues(parts):
     n = sum(parts)
     if n < 2:
         raise ValueError("need a partition of n >= 2")
-    d = dim(parts)
     out = []
     for c in corners(parts):
         s_bar = Fraction(parts[c.row - 1] - c.row + 1, n)
-        out.append(StarEig(parts, c.row, c.reduced, s_bar, d * dim(c.reduced)))
+        out.append(StarEig(parts, c.row, c.reduced, s_bar))
     return out
 
 
-def full_spectrum(chain, n):
-    """One SpectralBlock per partition of n, in enumeration order.
-
-    chain="rt" leaves the star entries unpopulated; chain="star" fills both.
-    """
-    _check_chain(chain)
-    if not 2 <= n <= PARTITION_CAP:
-        raise ValueError(f"n must be in [2, {PARTITION_CAP}]")
-    blocks = []
+def _rows(chain, n):
+    """(partition, eigenvalue, multiplicity) of every block of chain at n, in
+    enumeration order; star lists a partition's corners in row order."""
+    if chain not in CHAINS:
+        raise ValueError(f"chain must be one of {CHAINS}, got {chain!r}")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if n > EXACT_DIM_CAP:
+        raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
     for lam in enumerate_partitions(n):
-        star = tuple(star_eigenvalues(lam)) if chain == "star" else None
-        blocks.append(SpectralBlock(lam, rt_eigenvalue(lam), star))
-    return blocks
+        if chain == "rt":
+            e = rt_eigenvalue(lam)
+            yield lam, e.s, e.mult
+        else:
+            for e in star_eigenvalues(lam):
+                yield lam, e.s_bar, e.mult
 
 
 def spectrum_trace(chain, n):
     """Exact rational sum of mult * eigenvalue; equals (n-1)! for both chains."""
-    _check_chain(chain)
     if not 2 <= n <= EXACT_TRACE_CAP:
         raise ValueError(f"exact trace limited to n in [2, {EXACT_TRACE_CAP}]")
-    total = Fraction(0)
-    for lam in enumerate_partitions(n):
-        if chain == "rt":
-            e = rt_eigenvalue(lam)
-            total += e.mult.value * e.s
-        else:
-            for e in star_eigenvalues(lam):
-                total += e.mult.value * e.s_bar
-    return total
+    return sum((mult * eig for _, eig, mult in _rows(chain, n)), Fraction(0))
 
 
 def total_multiplicity(chain, n):
     """Exact sum of multiplicities over all blocks; must equal n!."""
-    _check_chain(chain)
-    if n > EXACT_DIM_CAP:
-        raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
-    if chain == "rt":
-        return sum(rt_eigenvalue(lam).mult.value for lam in enumerate_partitions(n))
-    return sum(
-        e.mult.value for lam in enumerate_partitions(n) for e in star_eigenvalues(lam)
-    )
+    return sum(mult for _, _, mult in _rows(chain, n))
 
 
 def spectrum_rows(chain, n):
     """Flat (partition, eigenvalue, multiplicity) rows for CSV export."""
-    _check_chain(chain)
-    if n > EXACT_DIM_CAP:
-        raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
-    rows = []
-    for block in full_spectrum(chain, n):
-        if chain == "rt":
-            rows.append((block.lam, block.rt.s, block.rt.mult.value))
-        else:
-            for e in block.star:
-                rows.append((block.lam, e.s_bar, e.mult.value))
-    return rows
+    return list(_rows(chain, n))

@@ -177,8 +177,10 @@ class TestOutputModes:
         assert len({len(line) for line in lines}) == 1
 
 
-# Exact stdout recorded before the comparison sums were merged into one pass;
-# any change to these bytes is a change to the program's output.
+# Exact stdout recorded before the comparison sums were merged into one pass
+# (the spectrum and verify --n 13 entries: before the dimension helpers were
+# folded into exact_dim); any change to these bytes is a change to the
+# program's output.
 GOLDEN = {
     "bound --n 30 --c -1": (
         "n;c;t;tstar;total;term1;term2;term3;term4\n"
@@ -228,6 +230,51 @@ GOLDEN = {
         "commutation;pass\n"
         "spectrum-vs-numeric;skip\n"
         "comparison-inequality;pass\n"
+    ),
+    "spectrum --chain star --n 5": (
+        "partition;eigenvalue;multiplicity;chain\n"
+        "5;1;1;star\n"
+        "4,1;0.8;12;star\n"
+        "4,1;0;4;star\n"
+        "3,2;0.6;10;star\n"
+        "3,2;0.2;15;star\n"
+        "3,1,1;0.6;18;star\n"
+        "3,1,1;-0.2;18;star\n"
+        "2,2,1;0.2;15;star\n"
+        "2,2,1;-0.2;10;star\n"
+        "2,1,1,1;0.4;4;star\n"
+        "2,1,1,1;-0.4;12;star\n"
+        "1,1,1,1,1;-0.6;1;star\n"
+    ),
+    "spectrum --chain rt --n 6": (
+        "partition;eigenvalue;multiplicity;chain\n"
+        "6;1;1;rt\n"
+        "5,1;0.666666666667;25;rt\n"
+        "4,2;0.444444444444;81;rt\n"
+        "4,1,1;0.333333333333;100;rt\n"
+        "3,3;0.333333333333;25;rt\n"
+        "3,2,1;0.166666666667;256;rt\n"
+        "3,1,1,1;0;100;rt\n"
+        "2,2,2;0;25;rt\n"
+        "2,2,1,1;-0.111111111111;81;rt\n"
+        "2,1,1,1,1;-0.333333333333;25;rt\n"
+        "1,1,1,1,1,1;-0.666666666667;1;rt\n"
+    ),
+    "verify --n 13": (
+        "check;status\n"
+        "dimension-squares-sum;pass\n"
+        "branching-rule;pass\n"
+        "transpose-duality;pass\n"
+        "dimension-bound;pass\n"
+        "corner-bounds;pass\n"
+        "completeness-rt;pass\n"
+        "completeness-star;pass\n"
+        "trace-rt;skip\n"
+        "trace-star;skip\n"
+        "transpose-antisymmetry;pass\n"
+        "commutation;skip\n"
+        "spectrum-vs-numeric;skip\n"
+        "comparison-inequality;skip\n"
     ),
 }
 

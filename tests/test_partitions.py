@@ -1,20 +1,17 @@
 import itertools
 import math
-from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from shuffle_spectra import profiles
 from shuffle_spectra.partitions import (
-    BigDim,
     SizeLimitError,
     check_partition,
     corners,
-    dim,
     enumerate_partitions,
     exact_dim,
-    hooks,
-    log_dim,
     transpose,
 )
 
@@ -57,6 +54,18 @@ def count_syt_bruteforce(shape):
                 break
         count += ok
     return count
+
+
+def hook_lengths_bruteforce(shape):
+    """Hook of each box, row by row: the box, the boxes right of it and below it."""
+    boxes = {(i, j) for i, p in enumerate(shape) for j in range(p)}
+    return [
+        1
+        + sum((i, k) in boxes for k in range(j + 1, p))
+        + sum((k, j) in boxes for k in range(i + 1, len(shape)))
+        for i, p in enumerate(shape)
+        for j in range(p)
+    ]
 
 
 partitions_small = st.integers(1, 12).flatmap(
@@ -121,20 +130,15 @@ class TestTranspose:
 
 
 class TestHooks:
+    # exact_dim's hook product against hooks counted box by box on the diagram
+
     def test_example(self):
-        assert Counter(hooks((3, 2))) == Counter([4, 3, 1, 2, 1])
+        assert hook_lengths_bruteforce((3, 2)) == [4, 3, 1, 2, 1]
+        assert exact_dim((3, 2)) == math.factorial(5) // math.prod([4, 3, 1, 2, 1])
 
     def test_single_row(self):
-        assert hooks((5,)) == [5, 4, 3, 2, 1]
-
-    def test_transpose_invariant_multiset(self):
-        for n in range(1, 16):
-            for lam in enumerate_partitions(n):
-                assert Counter(hooks(lam)) == Counter(hooks(transpose(lam)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hooks(())
+        assert hook_lengths_bruteforce((5,)) == [5, 4, 3, 2, 1]
+        assert exact_dim((5,)) == math.factorial(5) // math.prod([5, 4, 3, 2, 1])
 
 
 class TestDim:
@@ -145,6 +149,12 @@ class TestDim:
         assert exact_dim((7,)) == 1
         assert exact_dim((1,) * 7) == 1
 
+    def test_transpose_invariant(self):
+        # transposing permutes the boxes and keeps every hook length
+        for n in range(1, 16):
+            for lam in enumerate_partitions(n):
+                assert exact_dim(lam) == exact_dim(transpose(lam))
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_hook_formula_vs_bruteforce(self, n):
         for lam in enumerate_partitions(n):
@@ -154,30 +164,31 @@ class TestDim:
     def test_near_row_shape(self, n):
         assert exact_dim((n - 1, 1)) == n - 1
 
+    def test_hook_shapes_binomial(self):
+        # d of (n - k, 1^k) is C(n - 1, k), up to the cap itself
+        for n in range(1, 31):
+            for k in range(n):
+                assert exact_dim((n - k,) + (1,) * k) == math.comb(n - 1, k)
+
     def test_empty_partition(self):
         assert exact_dim(()) == 1
-        assert dim(()).value == 1
 
     def test_log_agrees_with_exact(self):
+        # the spectral table's log d and log d_corner against exact integers
         for n in (10, 20, 30):
-            for lam in enumerate_partitions(n):
-                d = dim(lam)
-                assert d.value is not None
-                err = abs(math.log(d.value) - d.log_value)
-                assert err <= 1e-9 * max(1.0, d.log_value)
+            lams = enumerate_partitions(n)
+            tab = profiles._spectral_table(n)
+            logd = [math.log(exact_dim(lam)) for lam in lams]
+            logd_red = [
+                math.log(exact_dim(c.reduced)) for lam in lams for c in corners(lam)
+            ]
+            np.testing.assert_allclose(tab.logd, logd, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(tab.logd_red, logd_red, rtol=1e-9, atol=1e-9)
 
     def test_exact_cap(self):
         lam = (16,) * 2  # partition of 32
         with pytest.raises(SizeLimitError):
             exact_dim(lam)
-        d = dim(lam)
-        assert d.value is None and math.isfinite(d.log_value)
-
-    def test_bigdim_product(self):
-        a = BigDim(3, math.log(3))
-        b = BigDim(4, math.log(4))
-        assert (a * b).value == 12
-        assert abs((a * b).log_value - math.log(12)) < 1e-12
 
 
 class TestCorners:
@@ -215,7 +226,3 @@ class TestValidation:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             check_partition((3, 0))
-
-    def test_log_dim_precomputed_transpose(self):
-        lam = (5, 3, 1)
-        assert log_dim(lam) == log_dim(lam, transpose(lam))

@@ -9,12 +9,7 @@ from hypothesis import given, strategies as st
 from shuffle_spectra import exact_chain as ec
 from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
-from shuffle_spectra.partitions import (
-    SizeLimitError,
-    exact_dim,
-    iter_partitions,
-    log_dim,
-)
+from shuffle_spectra.partitions import SizeLimitError, exact_dim, iter_partitions
 
 
 def poisson_tv_oracle(mu1, mu2, terms=500):
@@ -334,12 +329,12 @@ class TestL2Bound:
 
     def test_leading_block_dominance(self):
         # frozen witness at n=60, c=3: the (n-1,1) corner-1 block carries
-        # more than 99% of the squared sum
+        # more than 99% of the squared sum; d_(m-1,1) = m - 1
         n = 60
         t_star = pr.cutoff_times(n, 3.0)[1]
         bound = pr.l2_bound("star", n, t_star)
         lead = math.exp(
-            log_dim((n - 1, 1)) + log_dim((n - 2, 1)) + 2 * t_star * math.log((n - 1) / n)
+            math.log(n - 1) + math.log(n - 2) + 2 * t_star * math.log((n - 1) / n)
         )
         assert lead / (2.0 * bound) ** 2 >= 0.8
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from shuffle_spectra.partitions import corners, enumerate_partitions, transpose
+from shuffle_spectra.partitions import SizeLimitError, corners, enumerate_partitions, transpose
 from shuffle_spectra import spectra
 
 
 class TestRtEigenvalue:
     def test_trivial_block(self):
         e = spectra.rt_eigenvalue((6,))
-        assert e.r == 1 and e.s == 1 and e.mult.value == 1
+        assert e.r == 1 and e.s == 1 and e.mult == 1
 
     def test_sign_block(self):
         # n=4 single column: s = (2-n)/n = -1/2
@@ -21,7 +21,7 @@ class TestRtEigenvalue:
     def test_standard_block(self):
         e = spectra.rt_eigenvalue((4, 1))
         assert e.s == Fraction(3, 5)
-        assert e.mult.value == 16
+        assert e.mult == 16
 
     def test_affine_relation(self):
         for lam in enumerate_partitions(7):
@@ -40,19 +40,29 @@ class TestRtEigenvalue:
         with pytest.raises(ValueError):
             spectra.rt_eigenvalue((1,))
 
+    def test_mult_exact_only_within_cap(self):
+        # eigenvalues exist at any n; exact multiplicities stop at EXACT_DIM_CAP
+        assert spectra.rt_eigenvalue((49, 1)).s == Fraction(24, 25)
+        (_, e) = spectra.star_eigenvalues((49, 1))
+        assert e.s_bar == 0
+        for block in (spectra.rt_eigenvalue((49, 1)), e):
+            with pytest.raises(SizeLimitError):
+                block.mult
+        assert spectra.rt_eigenvalue((29, 1)).mult == 29**2
+
 
 class TestStarEigenvalues:
     def test_two_corner_shape(self):
-        got = [(e.corner_row, e.s_bar, e.mult.value) for e in spectra.star_eigenvalues((4, 1))]
+        got = [(e.corner_row, e.s_bar, e.mult) for e in spectra.star_eigenvalues((4, 1))]
         assert got == [(1, Fraction(4, 5), 12), (2, Fraction(0), 4)]
 
     def test_trivial_block(self):
         (e,) = spectra.star_eigenvalues((6,))
-        assert e.corner_row == 1 and e.s_bar == 1 and e.mult.value == 1
+        assert e.corner_row == 1 and e.s_bar == 1 and e.mult == 1
 
     def test_sign_block(self):
         (e,) = spectra.star_eigenvalues((1, 1, 1, 1))
-        assert e.corner_row == 4 and e.s_bar == Fraction(-1, 2) and e.mult.value == 1
+        assert e.corner_row == 4 and e.s_bar == Fraction(-1, 2) and e.mult == 1
 
     def test_star_transpose_antisymmetry(self):
         # rbar = (lam_i - i)/(n-1) flips sign at the dual corner of the transpose
@@ -69,29 +79,24 @@ class TestStarEigenvalues:
     def test_block_multiplicity_sums_to_d_squared(self):
         for lam in enumerate_partitions(9):
             eigs = spectra.star_eigenvalues(lam)
-            d2 = spectra.rt_eigenvalue(lam).mult.value
-            assert sum(e.mult.value for e in eigs) == d2
+            d2 = spectra.rt_eigenvalue(lam).mult
+            assert sum(e.mult for e in eigs) == d2
 
 
 class TestFullSpectrum:
     def test_rt_n3(self):
         multiset = Counter()
-        for block in spectra.full_spectrum("rt", 3):
-            multiset[block.rt.s] += block.rt.mult.value
+        for _, eig, mult in spectra.spectrum_rows("rt", 3):
+            multiset[eig] += mult
         assert multiset == Counter({Fraction(1): 1, Fraction(1, 3): 4, Fraction(-1, 3): 1})
 
     def test_star_n3(self):
         multiset = Counter()
-        for block in spectra.full_spectrum("star", 3):
-            for e in block.star:
-                multiset[e.s_bar] += e.mult.value
+        for _, eig, mult in spectra.spectrum_rows("star", 3):
+            multiset[eig] += mult
         assert multiset == Counter(
             {Fraction(1): 1, Fraction(2, 3): 2, Fraction(0): 2, Fraction(-1, 3): 1}
         )
-
-    def test_rt_only_blocks(self):
-        blocks = spectra.full_spectrum("rt", 4)
-        assert all(b.star is None for b in blocks)
 
     @pytest.mark.parametrize("chain", spectra.CHAINS)
     @pytest.mark.parametrize("n", range(2, 13))
@@ -104,8 +109,9 @@ class TestFullSpectrum:
         assert spectra.spectrum_trace(chain, n) == Fraction(math.factorial(n - 1))
 
     def test_bad_chain(self):
-        with pytest.raises(ValueError):
-            spectra.full_spectrum("riffle", 4)
+        for rows in (spectra.spectrum_rows, spectra.spectrum_trace, spectra.total_multiplicity):
+            with pytest.raises(ValueError):
+                rows("riffle", 4)
 
     def test_trace_guard(self):
         with pytest.raises(ValueError):
@@ -132,6 +138,13 @@ class TestSpectrumRows:
         rows = spectra.spectrum_rows("star", 5)
         n_corners = sum(len(corners(lam)) for lam in enumerate_partitions(5))
         assert len(rows) == n_corners
+
+    def test_size_guards(self):
+        for n in (-1, 0, 1):
+            with pytest.raises(ValueError):
+                spectra.spectrum_rows("rt", n)
+        with pytest.raises(SizeLimitError):
+            spectra.spectrum_rows("star", 31)
 
     def test_rows_follow_enumeration_order(self):
         rows = spectra.spectrum_rows("rt", 6)
