@@ -66,6 +66,8 @@ def _cmd_profile(args):
 
 
 def _cmd_exact_tv(args):
+    if args.t_max > exact_chain.EXACT_TV_T_CAP:
+        raise ValueError(f"--t-max must be at most {exact_chain.EXACT_TV_T_CAP}")
     matrix = exact_chain.build_matrix(args.chain, args.n)
     rows = [
         (args.n, args.chain, t, exact_chain.tv_to_uniform(d))

@@ -11,7 +11,7 @@ stochasticity, symmetry and commutation can be checked exactly.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +22,7 @@ from .profiles import _comparison_sums
 MAX_BUILD_N = 8
 MAX_EXACT_PRODUCT_N = 7
 MAX_DENSE_EIG_N = 6
+EXACT_TV_T_CAP = 10_000
 
 
 @dataclass
@@ -31,6 +32,8 @@ class SparseScaledMatrix:
     n: int
     scale: int
     mat: sparse.csr_matrix  # int64 entries
+    # (start, t, d): the last distribution evolve computed on this matrix
+    _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def denom(self):
@@ -118,26 +121,55 @@ def build_skewed_matrix(n):
     return _build_from_weights(n, weights, 1)
 
 
-def trajectory(matrix, start, t_max):
-    """Iterator over the distributions at t = 0, 1, ..., t_max from the point
-    mass at rank `start`."""
-    if t_max < 0:
+def _point_mass(matrix, start, t):
+    """Point mass at rank `start`, once t and start are checked."""
+    if t < 0:
         raise ValueError("t must be nonnegative")
     m = matrix.mat.shape[0]
     if not 0 <= start < m:
         raise ValueError("start rank out of range")
-    a = matrix.mat.astype(np.float64).multiply(1.0 / matrix.denom).tocsr()
     d = np.zeros(m)
     d[start] = 1.0
+    return d
+
+
+def _steps(matrix, d, k):
+    """Yields d, then the k distributions that follow it, one step at a time."""
+    yield d
+    if not k:  # a repeated t needs no operator
+        return
+    # one copy: the float data shares the integer matrix's index arrays
+    mat = matrix.mat
+    data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
+    a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
     # symmetric matrices in practice; the transpose keeps the row convention
-    return itertools.accumulate(range(t_max), lambda d, _: a.T @ d, initial=d)
+    at = a.T
+    for _ in range(k):
+        d = at @ d
+        yield d
+
+
+def trajectory(matrix, start, t_max):
+    """Iterator over the distributions at t = 0, 1, ..., t_max from the point
+    mass at rank `start`."""
+    return _steps(matrix, _point_mass(matrix, start, t_max), t_max)
 
 
 def evolve(matrix, start, t):
-    """Distribution after t steps from the point mass at rank `start`."""
-    for d in trajectory(matrix, start, t):
+    """Distribution after t steps from the point mass at rank `start`.
+
+    Resumes from the last distribution computed on the same matrix when the
+    start matches and t has not gone back, so a curve over t costs one step per t.
+    """
+    d = _point_mass(matrix, start, t)
+    cursor = matrix._cursor
+    t0 = 0
+    if cursor is not None and cursor[0] == start and cursor[1] <= t:
+        _, t0, d = cursor
+    for d in _steps(matrix, d, t - t0):
         pass
-    return d
+    matrix._cursor = (start, t, d)
+    return d.copy()
 
 
 def tv_to_uniform(d):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from shuffle_spectra import cli, profiles
+from shuffle_spectra import cli, exact_chain, profiles
 
 
 def run_cli(argv, capsys):
@@ -159,6 +159,21 @@ class TestExactTv:
         assert first[2] == "0"
         assert float(first[3]) == pytest.approx(1.0 - 1.0 / math.factorial(4), abs=1e-12)
 
+    def test_t_max_at_cap(self, capsys):
+        cap = exact_chain.EXACT_TV_T_CAP
+        code, out = run_cli(["exact-tv", "--chain", "star", "--n", "2", "--t-max", str(cap)], capsys)
+        lines = out.strip().split("\n")
+        assert code == 0 and len(lines) == cap + 2  # header + t = 0..cap
+        assert lines[-1].split(";")[2] == str(cap)
+
+    def test_t_max_over_cap_is_one(self, capsys):
+        t_max = str(exact_chain.EXACT_TV_T_CAP + 1)
+        code = cli.run(["exact-tv", "--chain", "rt", "--n", "8", "--t-max", t_max])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--t-max" in captured.err
+
 
 class TestOutputModes:
     def test_out_file_matches_stdout(self, tmp_path, capsys):
@@ -195,6 +210,10 @@ GOLDEN = {
         "n;c;M;term1;term2;term3;term4\n"
         "20;0.25;4;0.00115038173819;6.93314069575e-05;3.97027162834e-05;0.0368640385602\n"
     ),
+    "compare --n 8 --c 1": (
+        "n;c;t;tstar;tv_star;tv_rt;diff;bound\n"
+        "8;1;13;25;0.0858042935913;0.0643774128206;0.0214268807707;0.0511019479639\n"
+    ),
     "compare --n 6 --c 0": (
         "n;c;t;tstar;tv_star;tv_rt;diff;bound\n"
         "6;0;5;11;0.21605439709;0.263795534217;0.0477411371276;0.172070440353\n"
@@ -214,6 +233,40 @@ GOLDEN = {
         "5;rt;10;0.0101935977268\n"
         "5;rt;11;0.00587626074152\n"
         "5;rt;12;0.00366622022209\n"
+    ),
+    "exact-tv --chain star --n 7 --t-max 30": (
+        "n;chain;t;tv\n"
+        "7;star;0;0.999801587302\n"
+        "7;star;1;0.998611111111\n"
+        "7;star;2;0.992658730159\n"
+        "7;star;3;0.965873015873\n"
+        "7;star;4;0.874603174603\n"
+        "7;star;5;0.754382929071\n"
+        "7;star;6;0.684255367425\n"
+        "7;star;7;0.610816579165\n"
+        "7;star;8;0.537252895007\n"
+        "7;star;9;0.466865135122\n"
+        "7;star;10;0.403214107063\n"
+        "7;star;11;0.346509184421\n"
+        "7;star;12;0.297126511403\n"
+        "7;star;13;0.254306331255\n"
+        "7;star;14;0.219055788174\n"
+        "7;star;15;0.191385135297\n"
+        "7;star;16;0.16707969287\n"
+        "7;star;17;0.145469118651\n"
+        "7;star;18;0.126260119419\n"
+        "7;star;19;0.109388532733\n"
+        "7;star;20;0.094571509736\n"
+        "7;star;21;0.0816603866381\n"
+        "7;star;22;0.0704103521168\n"
+        "7;star;23;0.0606588280208\n"
+        "7;star;24;0.0522062115778\n"
+        "7;star;25;0.0449053329399\n"
+        "7;star;26;0.0385991912156\n"
+        "7;star;27;0.0331653535172\n"
+        "7;star;28;0.0284830975209\n"
+        "7;star;29;0.0244551195196\n"
+        "7;star;30;0.0209899532649\n"
     ),
     "verify --n 6": (
         "check;status\n"

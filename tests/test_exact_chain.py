@@ -144,6 +144,19 @@ class TestBuildMatrixOracle:
         assert np.array_equal(ec._lehmer_ranks(perms.T), np.arange(720))
 
 
+def sparse_walk(m, start, t_max):
+    """In-test oracle: every distribution up to t_max, one sparse step at a
+    time over a float operator built by astype, multiply and tocsr."""
+    a = m.mat.astype(np.float64).multiply(1.0 / m.denom).tocsr()
+    d = np.zeros(m.mat.shape[0])
+    d[start] = 1.0
+    dists = [d]
+    for _ in range(t_max):
+        d = a.T @ d
+        dists.append(d)
+    return dists
+
+
 class TestEvolve:
     def test_point_mass_at_zero_steps(self):
         m = ec.build_matrix("star", 4)
@@ -177,6 +190,49 @@ class TestEvolve:
         for t, d in enumerate(dists):
             expect = np.linalg.matrix_power(dense, t)[3]
             assert np.abs(d - expect).max() < 1e-14
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_fresh_walk_in_any_order(self, chain, n):
+        m = ec.build_matrix(chain, n)
+        start = m.mat.shape[0] // 2
+        expect = sparse_walk(m, start, 25)
+        order = list(range(26)) + [25, 25, 24, 11, 11, 0, 7, 25]
+        for t in order:
+            assert np.array_equal(ec.evolve(m, start, t), expect[t]), t
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    def test_switching_start_and_back(self, chain):
+        m = ec.build_matrix(chain, 5)
+        walks = {s: sparse_walk(m, s, 12) for s in (0, 119)}
+        for s, t in [(0, 5), (119, 7), (0, 9), (0, 12), (119, 3), (119, 8), (0, 2)]:
+            assert np.array_equal(ec.evolve(m, s, t), walks[s][t]), (s, t)
+
+    def test_returned_array_not_shared(self):
+        m = ec.build_matrix("star", 5)
+        expect = sparse_walk(m, 0, 6)
+        d = ec.evolve(m, 0, 4)
+        d[:] = 7.0
+        assert np.array_equal(ec.evolve(m, 0, 4), expect[4])
+        ec.evolve(m, 0, 4)[:] = -1.0
+        assert np.array_equal(ec.evolve(m, 0, 6), expect[6])
+
+    def test_guards_with_warm_cursor(self):
+        m = ec.build_matrix("rt", 4)
+        ec.evolve(m, 0, 5)
+        with pytest.raises(ValueError):
+            ec.evolve(m, 0, -1)
+        for start in (-1, 24):
+            with pytest.raises(ValueError):
+                ec.evolve(m, start, 5)
+        assert np.array_equal(ec.evolve(m, 0, 5), sparse_walk(m, 0, 5)[5])
+
+    def test_equality_ignores_cursor(self):
+        m = ec.build_matrix("star", 4)
+        twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
+        ec.evolve(m, 0, 3)
+        assert m == twin
+        assert repr(m) == repr(twin)
 
 
 class TestTotalVariation:
