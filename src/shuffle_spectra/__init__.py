@@ -30,7 +30,6 @@ from .exact_chain import (
     evolve,
     lemma_l2_check,
     numeric_eig_multiset,
-    symmetric_eigvals,
     trajectory,
     tv_between,
     tv_to_uniform,

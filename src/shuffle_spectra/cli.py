@@ -278,15 +278,20 @@ def run(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.func(args)
+        text, code = args.func(args), 0
     except _VerifyFailure as exc:
-        _emit(exc.text, args.out)
-        return 1
+        text, code = exc.text, 1
     except ValueError as exc:  # includes SizeLimitError guard violations
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
-    return 0
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        if not args.out:  # a closed stdout is not a bad --out
+            raise
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    return code
 
 
 def main():

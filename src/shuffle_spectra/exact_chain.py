@@ -134,7 +134,9 @@ def _point_mass(matrix, start, t):
 
 
 def _steps(matrix, d, k):
-    """Yields d, then the k distributions that follow it, one step at a time."""
+    """Yields d, then the k distributions that follow it, one step at a time;
+    read-only, since each yielded array feeds the next step."""
+    d.flags.writeable = False
     yield d
     if not k:  # a repeated t needs no operator
         return
@@ -146,6 +148,7 @@ def _steps(matrix, d, k):
     at = a.T
     for _ in range(k):
         d = at @ d
+        d.flags.writeable = False
         yield d
 
 
@@ -205,79 +208,14 @@ def commutation_check(n):
     return exact_commutes(build_matrix("star", n), build_matrix("rt", n))
 
 
-def _tridiagonalize(a):
-    """Householder reduction of a symmetric matrix (overwritten) to tridiagonal
-    form; returns its diagonal and subdiagonal."""
-    for k in range(a.shape[0] - 2):
-        x = a[k + 1 :, k]
-        if not x[1:].any():  # already tridiagonal in this column
-            continue
-        alpha = -math.copysign(np.linalg.norm(x), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        # (I - 2vv')A(I - 2vv') = A - 2(vw' + wv') with w = Av - (v'Av)v
-        sub = a[k + 1 :, k + 1 :]
-        w = sub @ v
-        w -= (v @ w) * v
-        sub -= 2.0 * (np.outer(v, w) + np.outer(w, v))
-        x[0] = alpha
-    return np.diag(a), np.diag(a, -1)
-
-
-def _sturm_count(diag, off, x):
-    """Number of eigenvalues below each entry of x for the symmetric
-    tridiagonal matrix (diag, off), by the signs of the LDL' pivots."""
-    e2 = np.r_[0.0, off * off]
-    # a zero pivot becomes -tiny; tiny keeps e2 / tiny finite
-    tiny = np.finfo(float).tiny * max(1.0, e2.max())
-    q = np.ones_like(x)
-    count = np.zeros(x.shape, dtype=np.int64)
-    for d, e in zip(diag, e2):
-        q = (d - x) - e / q
-        q[np.abs(q) < tiny] = -tiny
-        count += q < 0
-    return count
-
-
-def symmetric_eigvals(a):
-    """All eigenvalues of a dense symmetric matrix, ascending.
-
-    Householder tridiagonalisation, then Sturm-count bisection on every
-    eigenvalue index at once (Golub & Van Loan, Matrix Computations, 8.4),
-    halving the Gershgorin interval until it is a few ulps wide.
-    """
-    a = np.array(a, dtype=float)
-    m = a.shape[0] if a.ndim == 2 else -1
-    if not np.isfinite(a).all():
-        raise ValueError("symmetric_eigvals requires finite entries; the input holds inf or nan")
-    # exact rescaling to max|a| in [1/2, 1) (none for a = 0): the width stays normal,
-    # and the symmetry tolerance below does not depend on the matrix's scale
-    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
-    np.ldexp(a, -e, out=a)
-    if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("symmetric_eigvals requires a symmetric square matrix")
-    diag, off = _tridiagonalize(a)
-    radius = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
-    lo, hi = (diag - radius).min(initial=0.0), (diag + radius).max(initial=0.0)
-    ulp = np.finfo(float).eps * max(-lo, hi, np.finfo(float).tiny)
-    steps = math.ceil(math.log2(max(hi - lo, ulp) / ulp)) + 2
-    lo, hi, index = np.full(m, lo), np.full(m, hi), np.arange(m)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = _sturm_count(diag, off, mid) > index
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    return np.ldexp(0.5 * (lo + hi), e)
-
-
 def numeric_eig_multiset(matrix):
     """All eigenvalues of the scaled matrix, sorted ascending."""
     if matrix.n > MAX_DENSE_EIG_N:
         raise SizeLimitError(f"dense eigensolve limited to n <= {MAX_DENSE_EIG_N}")
+    # eigvalsh reads one triangle only, so an asymmetric input must stop here
     if not matrix.is_symmetric_exact():
         raise ValueError("matrix must be symmetric")
-    return symmetric_eigvals(matrix.dense_float())
+    return np.linalg.eigvalsh(matrix.dense_float())
 
 
 def spectral_rhs(n, t, t_star):

@@ -138,8 +138,8 @@ rt_profile = star_profile
 
 def profile_curve(c_min, c_max, step):
     """star_profile sampled on an inclusive grid."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:  # also catches nan
+        raise ValueError(f"step must be finite and positive, got {step}")
     if c_min > c_max:
         raise ValueError("empty grid: c_min > c_max")
     if not (c_max - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan

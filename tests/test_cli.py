@@ -66,6 +66,8 @@ class TestExitCodes:
             (["verify", "--n", "1"], "--n must be at least 2"),
             (["verify", "--n", "31"], "--n must be at most 30"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "1e-9"], "points"),
+            (["profile", "--c-min", "0", "--c-max", "1", "--step", "inf"], "step"),
+            (["profile", "--c-min", "0", "--c-max", "1", "--step", "nan"], "step"),
         ],
         ids=[
             "bound-c-1e300",
@@ -74,6 +76,8 @@ class TestExitCodes:
             "verify-n1",
             "verify-n31",
             "profile-1e9-points",
+            "profile-step-inf",
+            "profile-step-nan",
         ],
     )
     def test_out_of_range_input_is_one(self, argv, message, capsys):
@@ -182,6 +186,19 @@ class TestOutputModes:
         code, out = run_cli(["spectrum", "--chain", "rt", "--n", "4", "--out", str(path)], capsys)
         assert code == 0 and out == ""
         assert path.read_text() == stdout_text
+
+    @pytest.mark.parametrize("verify_fails", [False, True], ids=["result", "verify-failure"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_out_is_one(self, where, verify_fails, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        if verify_fails:
+            monkeypatch.setattr(cli, "_verify_checks", lambda n: iter([("check", "fail")]))
+        code = cli.run(["verify", "--n", "4", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write --out {path}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_pretty_format_aligned(self, capsys):
         _, out = run_cli(["spectrum", "--chain", "rt", "--n", "4", "--format", "pretty"], capsys)
