@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -268,7 +269,7 @@ def _emit(text, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
 
 
 def run(argv=None):
@@ -287,9 +288,10 @@ def run(argv=None):
     try:
         _emit(text, args.out)
     except OSError as exc:
-        if not args.out:  # a closed stdout is not a bad --out
-            raise
-        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        where = f"--out {args.out}" if args.out else "stdout"
+        if not args.out:  # stdout to devnull, or the flush at exit fails once more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 1
     return code
 

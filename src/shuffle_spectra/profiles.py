@@ -193,6 +193,34 @@ def _log_dims(log_fact, hooks):
     return acc
 
 
+def _rank_terms(n):
+    """p(k), k <= n, and term: index(lam) = p(n) - 1 + sum over rows of term[boxes below, part]."""
+    count = [1] + [0] * n
+    columns = [count[:]]  # columns[v][k]: partitions of k with no part above v
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            count[k] += count[k - part]
+        columns.append(count[:])
+    at_most, (a, v) = np.array(columns + [count]).T, np.ogrid[: n + 1, : n + 2]
+    return count, at_most[a, v] - at_most[np.minimum(a + v, n), v]
+
+
+def _corners(term, flat, row):
+    """Corners of a block of partitions of n, as parts flat and their rows, in
+    row order: partition r, flat position f, and the block index of lam - e_i + e_1,
+    at most r. Moving the corner's box to row 1 changes the terms of rows 1..i only."""
+    owner = np.cumsum(row == 0) - 1
+    below = (len(term) - 1) * (owner + 1) - np.cumsum(flat)
+    f = np.flatnonzero(flat > np.where(below, np.append(flat[1:], 0), 0))
+    r, f1 = owner[f], f - row[f]
+    # rows above the corner lose a box below them; no sum spans a last row (below = 0)
+    up = term[below - 1, flat] - term[below, flat]
+    run = np.cumsum(up) - up
+    moved = term[below[f1] - 1, flat[f1] + 1] - term[below[f1] - 1, flat[f1]]
+    moved += run[f] - run[f1] + term[below[f], flat[f] - 1] - term[below[f], flat[f]]
+    return r, f, r + moved * (f > f1)
+
+
 @lru_cache(maxsize=1)
 def _spectral_table(n):
     """Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
@@ -200,15 +228,14 @@ def _spectral_table(n):
     and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
     sbar_log. Only the latest n is kept: callers evaluate one n at several
     times, and a table holds 104 MB at n = 60. Built in numpy blocks of
-    _TABLE_CHUNK partitions, boxes row by row, hooks lam_i - j + lam'_j - i - 1;
-    a corner's reduced shape takes its parent's hooks less one in the corner's
-    row and column, the corner's own set to 1, so n - 1 is never enumerated.
+    _TABLE_CHUNK partitions, boxes row by row, hooks lam_i - j + lam'_j - i - 1.
+    Each partition mu of n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its
+    log d, from lam's hooks less one in row 1, is stored at lam's index, and
+    lam's corner i reads it at the index of lam - e_i + e_1 (_corners).
     """
-    count = [1] + [0] * n  # count[k] = p(k), the number of partitions of k
-    for part in range(1, n + 1):
-        for k in range(part, n + 1):
-            count[k] += count[k - part]
+    count, term = _rank_terms(n)
     lam1, lam1_t, s_sign, logd, s_log = (np.empty(count[n], t) for t in "i4 i4 i1 f8 f8".split())
+    logd_mu = np.empty(count[n])  # log d(lam - e_1) at lam, where lam_1 > lam_2
     # a corner is a distinct part, and p(n - k) partitions of n have a part k
     parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
     log_fact, log_red, inv_cn2 = math.lgamma(n + 1), math.lgamma(n), 1 / (n * (n - 1) // 2)
@@ -217,27 +244,23 @@ def _spectral_table(n):
         m, lens = len(chunk), np.fromiter(map(len, chunk), np.intp, len(chunk))
         flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, lens.sum())
         row = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        lam = np.zeros((m, n + 1), np.intp)
-        lam[np.repeat(np.arange(m), lens), row] = flat
         # the n boxes of each partition, row by row: row i, column j, lam_i
         box = np.arange(m * n)
         box_i, box_lam = np.repeat(row, flat), np.repeat(flat, flat)
         box_j = box - np.repeat(np.cumsum(flat) - flat, flat)
         cell = box - box % n + box_j  # lam'_j of the box's partition
-        lam_t = np.bincount(cell, minlength=m * n)
-        hook = (box_lam - box_j + lam_t[cell] - box_i - 1).reshape(m, n)
-        lam_t, box_i, box_j = lam_t.reshape(m, n), box_i.reshape(m, n), box_j.reshape(m, n)
-        num = (lam * (lam - 1) // 2).sum(1) - (lam_t * (lam_t - 1) // 2).sum(1)
+        hook = (box_lam - box_j + np.bincount(cell)[cell] - box_i - 1).reshape(m, n)
+        num = (box_j - box_i).reshape(m, n).sum(1)  # sum of contents
         s = 1.0 / n + (n - 1) / n * (num * inv_cn2)
         rs = slice(r0, r0 + m)
-        lam1[rs], lam1_t[rs], logd[rs] = lam[:, 0], lam_t[:, 0], _log_dims(log_fact, hook)
+        lam1[rs], lam1_t[rs], logd[rs] = flat[row == 0], lens, _log_dims(log_fact, hook)
         s_sign[rs], s_log[rs] = _signs_and_logs(s.tolist())
-        r, i = np.nonzero(lam[:, :-1] > lam[:, 1:])  # corner (i, j) of partition r
-        j = lam[r, i] - 1
-        red = hook[r] - ((box_i[r] == i[:, None]) | (box_j[r] == j[:, None]))
-        red[np.arange(r.size), lam.cumsum(1)[r, i] - 1] = 1  # the removed box: log 1 = 0
+        r, f, lift = _corners(term, flat, row)
+        top = r[row[f] == 0] + r0  # lam_1 > lam_2: row 1 less one before its corner
+        logd_mu[top] = _log_dims(log_red, hook[top - r0] - (np.arange(n) + 1 < lam1[top, None]))
         cs = slice(c0, c0 + r.size)
-        parent[cs], sbar_idx[cs], logd_red[cs] = r + r0, j - i + n - 1, _log_dims(log_red, red)
+        parent[cs], sbar_idx[cs] = r + r0, flat[f] - row[f] + n - 2
+        logd_red[cs] = logd_mu[lift + r0]
         r0, c0 = r0 + m, c0 + r.size
     sbar = _signs_and_logs([v / n for v in range(2 - n, n + 1)])
     table = _SpectralTable(lam1, lam1_t, logd, s_sign, s_log, parent, logd_red, sbar_idx, *sbar)

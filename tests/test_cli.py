@@ -1,4 +1,9 @@
+import errno
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +204,23 @@ class TestOutputModes:
         assert captured.err.startswith(f"error: cannot write --out {path}: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command", ["exact-tv --chain rt --n 3 --t-max 10000", "bound --n 5 --c 0"]
+    )
+    def test_full_stdout_is_one(self, command, buffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONUNBUFFERED="1")
+        if buffered:  # a short text then fails only when stdout is flushed
+            del env["PYTHONUNBUFFERED"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shuffle_spectra.cli", *command.split()],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
     def test_pretty_format_aligned(self, capsys):
         _, out = run_cli(["spectrum", "--chain", "rt", "--n", "4", "--format", "pretty"], capsys)

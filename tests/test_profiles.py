@@ -422,8 +422,9 @@ class TestSpectralTable:
             assert getattr(tab, name).tolist() == rows[name]
         for name in ("parent", "sbar_idx"):
             assert getattr(tab, name).tolist() == corners[name]
-        np.testing.assert_allclose(tab.logd, rows["logd"], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(tab.logd_red, corners["logd_red"], rtol=1e-12, atol=1e-12)
+        # the build subtracts the same logs in the same order as the scalar walk
+        assert tab.logd.tolist() == rows["logd"]
+        assert tab.logd_red.tolist() == corners["logd_red"]
         s_exact = rows["s"]
         nonzero = np.array([s != 0 for s in s_exact])
         assert tab.s_sign[nonzero].tolist() == [sign_of(s) for s in s_exact if s]
@@ -439,6 +440,47 @@ class TestSpectralTable:
         np.testing.assert_allclose(
             tab.sbar_log[idx], [math.log(abs(v)) if v else -math.inf for v in sbar], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [48, 60])
+    def test_sampled_corners_match_scalar_walk(self, n):
+        tab = pr._spectral_table.__wrapped__(n)
+        picks = set(np.random.default_rng(n).choice(len(tab.parent), 2000, replace=False).tolist())
+        want, got, k = [], [], 0
+        for idx, lam in enumerate(iter_partitions(n)):
+            for i, p in enumerate(lam):
+                if i + 1 < len(lam) and lam[i + 1] == p:
+                    continue
+                if k in picks:
+                    assert tab.parent[k] == idx
+                    reduced = list(lam)
+                    reduced[i] -= 1
+                    want.append(scalar_log_dim(tuple(x for x in reduced if x)))
+                    got.append(tab.logd_red[k])
+                k += 1
+        assert k == len(tab.parent) and len(got) == 2000
+        assert got == want
+
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_corner_lifts_match_enumeration(self, n):
+        # lam - e_i + e_1 keeps the reduced shape lam - e_i, with its corner in row 1
+        parts = list(iter_partitions(n))
+        index = {lam: idx for idx, lam in enumerate(parts)}
+        flat = np.array([p for lam in parts for p in lam])
+        row = np.array([k for lam in parts for k in range(len(lam))])
+        r, f, lift = pr._corners(pr._rank_terms(n)[1], flat, row)
+        want_r, want_i, want_lift = [], [], []
+        for idx, lam in enumerate(parts):
+            for i, p in enumerate(lam):
+                if i + 1 < len(lam) and lam[i + 1] == p:
+                    continue
+                moved = list(lam)
+                moved[i] -= 1
+                moved[0] += 1
+                want_r.append(idx)
+                want_i.append(i)
+                want_lift.append(index[tuple(x for x in moved if x)])
+        assert r.tolist() == want_r and row[f].tolist() == want_i
+        assert lift.tolist() == want_lift
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries(self, monkeypatch, chunk):
