@@ -6,8 +6,11 @@ The empty tuple is the unique partition of 0.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-PARTITION_CAP = 100
+import numpy as np
+
+PARTITION_CAP = 60  # p(60) = 966,467; p(70) is 4.1 M and p(100) 190 M
 EXACT_DIM_CAP = 30
 
 
@@ -26,37 +29,81 @@ def check_partition(parts):
     return parts
 
 
-def enumerate_partitions(n):
-    """All partitions of n in reverse-lexicographic order, starting at (n,)."""
+def count_table(n):
+    """at_most[v, k]: the number of partitions of k with no part above v, v, k <= n."""
+    count = [1] + [0] * n
+    columns = [count[:]]
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            count[k] += count[k - part]
+        columns.append(count[:])
+    return np.array(columns)
+
+
+@lru_cache(maxsize=1)
+def _source(n):
+    """The partitions of n, n >= 1, stored as (first part, tail index) pairs.
+
+    In reverse-lex order the partitions of k are, for f = k..1, f in front of
+    the partitions of k - f with first part at most f, which form a suffix of
+    the list for k - f. Level k < n keeps the suffix with first part at most
+    n - k: the tails of the partitions of n with first part n - k. An entry
+    stores its first part and the index of its tail in a lower level; level 0
+    is the empty partition, first part 0 and its own tail. The levels follow
+    each other in order of k, so entry r is the r-th partition of n less its
+    first part, and there are p(n) entries. Returns first (int8), tail
+    (int32) and off, where level k starts at entry off[k].
+    """
+    at_most = count_table(n)
+    k = np.arange(n)
+    off = np.zeros(n + 1, np.intp)
+    np.cumsum(at_most[np.minimum(k, n - k), k], out=off[1:])
+    first, tail = np.zeros(off[n], np.int8), np.zeros(off[n], np.int32)
+    for k in range(1, n):
+        f = np.arange(min(k, n - k), 0, -1)
+        count = at_most[np.minimum(f, k - f), k - f]
+        # block f points at the last count entries of level k - f
+        shift = off[k - f + 1] - count - (np.cumsum(count) - count)
+        first[off[k]:off[k + 1]] = np.repeat(f, count)
+        tail[off[k]:off[k + 1]] = np.repeat(shift, count) + np.arange(off[k + 1] - off[k])
+    for array in (first, tail, off):  # shared by every caller through the cache
+        array.flags.writeable = False
+    return first, tail, off
+
+
+def partition_blocks(n, size):
+    """The partitions of n in reverse-lex order, size at a time, as int8 rows
+    padded with zeros to the longest partition of the block."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > PARTITION_CAP:
         raise SizeLimitError(f"n={n} exceeds partition cap {PARTITION_CAP}")
-    return list(iter_partitions(n))
-
-
-def iter_partitions(n):
-    """Generator form of enumerate_partitions (no cap check)."""
     if n == 0:
-        yield ()
+        yield np.zeros((1, 0), np.int8)
         return
-    a = [n]
-    while True:
-        yield tuple(a)
-        # rightmost part greater than 1
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
-            return
-        # collapse everything from j on and refill greedily with a[j]-1
-        total = a[j] + (len(a) - j - 1)
-        x = a[j] - 1
-        del a[j:]
-        k, r = divmod(total, x)
-        a.extend([x] * k)
-        if r:
-            a.append(r)
+    first, tail, off = _source(n)
+    for lo in range(0, off[n], size):
+        g = np.arange(lo, min(lo + size, off[n]))
+        block = np.zeros((len(g), n), np.int8)
+        block[:, 0] = n + 1 - np.searchsorted(off, g, "right")  # n - level
+        width = 1
+        while width < n and (parts := first.take(g)).any():
+            block[:, width] = parts
+            g = tail.take(g)
+            width += 1
+        yield block[:, :width]
+
+
+def enumerate_partitions(n):
+    """All partitions of n in reverse-lexicographic order, starting at (n,)."""
+    if n == 0:
+        return [()]
+    out = []
+    for block in partition_blocks(n, 4096):
+        # a row's bytes less its zero padding iterate as its parts, plain ints
+        raw, width = block.tobytes(), block.shape[1]
+        out += [tuple(raw[i:i + width].rstrip(b"\0")) for i in range(0, len(raw), width)]
+    return out
 
 
 def transpose(parts):

@@ -14,12 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import SizeLimitError, iter_partitions
+from .partitions import PARTITION_CAP, SizeLimitError, count_table, partition_blocks
 
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
 PROFILE_C_MAX = 12.0
-BOUND_N_CAP = 60
+BOUND_N_CAP = PARTITION_CAP  # the table reads every partition of n
 _PROFILE_GRID_CAP = 100_000
 _TAIL_EPS = 1e-13
 _LOG_DIFF_GUARD = 1e-13
@@ -138,6 +138,8 @@ rt_profile = star_profile
 
 def profile_curve(c_min, c_max, step):
     """star_profile sampled on an inclusive grid."""
+    if not (math.isfinite(c_min) and math.isfinite(c_max)):
+        raise ValueError("c_min and c_max must be finite")
     if not 0 < step < math.inf:  # also catches nan
         raise ValueError(f"step must be finite and positive, got {step}")
     if c_min > c_max:
@@ -195,14 +197,9 @@ def _log_dims(log_fact, hooks):
 
 def _rank_terms(n):
     """p(k), k <= n, and term: index(lam) = p(n) - 1 + sum over rows of term[boxes below, part]."""
-    count = [1] + [0] * n
-    columns = [count[:]]  # columns[v][k]: partitions of k with no part above v
-    for part in range(1, n + 1):
-        for k in range(part, n + 1):
-            count[k] += count[k - part]
-        columns.append(count[:])
-    at_most, (a, v) = np.array(columns + [count]).T, np.ogrid[: n + 1, : n + 2]
-    return count, at_most[a, v] - at_most[np.minimum(a + v, n), v]
+    at_most = count_table(n)
+    at_most, (a, v) = np.vstack([at_most, at_most[n]]).T, np.ogrid[: n + 1, : n + 2]
+    return at_most[:, n], at_most[a, v] - at_most[np.minimum(a + v, n), v]
 
 
 def _corners(term, flat, row):
@@ -228,7 +225,9 @@ def _spectral_table(n):
     and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
     sbar_log. Only the latest n is kept: callers evaluate one n at several
     times, and a table holds 104 MB at n = 60. Built in numpy blocks of
-    _TABLE_CHUNK partitions, boxes row by row, hooks lam_i - j + lam'_j - i - 1.
+    _TABLE_CHUNK partitions from partition_blocks, boxes row by row, hooks
+    lam_i - j + lam'_j - i - 1; s and its sign and log are looked up by the
+    sum of contents, which takes one of 2 C(n, 2) + 1 values.
     Each partition mu of n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its
     log d, from lam's hooks less one in row 1, is stored at lam's index, and
     lam's corner i reads it at the index of lam - e_i + e_1 (_corners).
@@ -238,23 +237,27 @@ def _spectral_table(n):
     logd_mu = np.empty(count[n])  # log d(lam - e_1) at lam, where lam_1 > lam_2
     # a corner is a distinct part, and p(n - k) partitions of n have a part k
     parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
-    log_fact, log_red, inv_cn2 = math.lgamma(n + 1), math.lgamma(n), 1 / (n * (n - 1) // 2)
-    parts, r0, c0 = iter_partitions(n), 0, 0
-    while chunk := list(itertools.islice(parts, _TABLE_CHUNK)):
-        m, lens = len(chunk), np.fromiter(map(len, chunk), np.intp, len(chunk))
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), np.intp, lens.sum())
-        row = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
+    log_fact, log_red, cn2 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2
+    # s of every content sum num in [-cn2, cn2], the one float expression per value
+    s_of_num = 1.0 / n + (n - 1) / n * (np.arange(-cn2, cn2 + 1) * (1 / cn2))
+    sign_of_num, log_of_num = _signs_and_logs(s_of_num.tolist())
+    r0, c0 = 0, 0
+    for block in partition_blocks(n, _TABLE_CHUNK):
+        # flat: every part, partition by partition; row: the row of each part
+        is_part = block != 0
+        m, flat = len(block), block[is_part].astype(np.intp)
+        row = np.broadcast_to(np.arange(block.shape[1]), block.shape)[is_part]
         # the n boxes of each partition, row by row: row i, column j, lam_i
         box = np.arange(m * n)
         box_i, box_lam = np.repeat(row, flat), np.repeat(flat, flat)
         box_j = box - np.repeat(np.cumsum(flat) - flat, flat)
         cell = box - box % n + box_j  # lam'_j of the box's partition
         hook = (box_lam - box_j + np.bincount(cell)[cell] - box_i - 1).reshape(m, n)
-        num = (box_j - box_i).reshape(m, n).sum(1)  # sum of contents
-        s = 1.0 / n + (n - 1) / n * (num * inv_cn2)
+        num = (box_j - box_i).reshape(m, n).sum(1) + cn2  # sum of contents, from 0
         rs = slice(r0, r0 + m)
-        lam1[rs], lam1_t[rs], logd[rs] = flat[row == 0], lens, _log_dims(log_fact, hook)
-        s_sign[rs], s_log[rs] = _signs_and_logs(s.tolist())
+        lam1[rs], lam1_t[rs] = block[:, 0], is_part.sum(1)
+        logd[rs] = _log_dims(log_fact, hook)
+        s_sign[rs], s_log[rs] = sign_of_num[num], log_of_num[num]
         r, f, lift = _corners(term, flat, row)
         top = r[row[f] == 0] + r0  # lam_1 > lam_2: row 1 less one before its corner
         logd_mu[top] = _log_dims(log_red, hook[top - r0] - (np.arange(n) + 1 < lam1[top, None]))

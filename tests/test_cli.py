@@ -92,6 +92,15 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("bound", ["--c-min", "--c-max"])
+    def test_non_finite_profile_range_is_one(self, bound, value, capsys):
+        argv = {"--c-min": "-1", "--c-max": "1", bound: value}
+        code = cli.run(["profile", "--step", "0.5"] + [f"{k}={v}" for k, v in argv.items()])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: c_min and c_max must be finite\n"
+
     def test_negative_t_max_is_one(self, capsys):
         code = cli.run(["exact-tv", "--chain", "star", "--n", "4", "--t-max", "-3"])
         captured = capsys.readouterr()

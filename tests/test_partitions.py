@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shuffle_spectra import profiles
+from shuffle_spectra import partitions, profiles
 from shuffle_spectra.partitions import (
     SizeLimitError,
     check_partition,
@@ -14,6 +18,8 @@ from shuffle_spectra.partitions import (
     exact_dim,
     transpose,
 )
+
+from partition_oracle import iter_partitions
 
 
 def partition_count(n):
@@ -110,6 +116,67 @@ class TestEnumeration:
             enumerate_partitions(101)
         with pytest.raises(ValueError):
             enumerate_partitions(-1)
+
+    def test_cap_is_the_bound_cap(self, monkeypatch):
+        # the check comes before the source is built
+        monkeypatch.setattr(partitions, "_source", None)
+        with pytest.raises(SizeLimitError):
+            enumerate_partitions(profiles.BOUND_N_CAP + 1)
+        with pytest.raises(SizeLimitError):
+            next(partitions.partition_blocks(profiles.BOUND_N_CAP + 1, 1))
+
+    @pytest.mark.parametrize("n", range(36))
+    def test_matches_generator(self, n):
+        got = enumerate_partitions(n)
+        assert got == list(iter_partitions(n))
+        assert all(type(p) is tuple and all(type(x) is int for x in p) for p in got)
+
+    @pytest.mark.parametrize("size", [1, 7, 4096])
+    def test_blocks_match_generator(self, size):
+        for n in (0, 1, 2, 9, 20):
+            rows = [r for block in partitions.partition_blocks(n, size) for r in block.tolist()]
+            assert [tuple(x for x in r if x) for r in rows] == list(iter_partitions(n))
+
+
+def decode(first, tail, r):
+    # follow the tail indices of entry r down to level 0, the empty partition
+    parts = []
+    while first[r]:
+        parts.append(int(first[r]))
+        r = tail[r]
+    return tuple(parts)
+
+
+class TestSource:
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_levels_follow_the_generator(self, n):
+        # level k holds the partitions of k with first part at most n - k, a
+        # suffix of the reverse-lex list
+        first, tail, off = partitions._source(n)
+        assert not any(a.flags.writeable for a in (first, tail, off))
+        assert off[-1] == len(first) == len(list(iter_partitions(n)))
+        for k in range(n):
+            level = [decode(first, tail, r) for r in range(off[k], off[k + 1])]
+            assert level == [mu for mu in iter_partitions(k) if not mu or mu[0] <= n - k]
+
+    def test_whole_levels(self):
+        # at n = 50 every level k <= 25 holds all the partitions of k
+        first, tail, off = partitions._source(50)
+        for k in range(26):
+            level = [decode(first, tail, r) for r in range(off[k], off[k + 1])]
+            assert level == list(iter_partitions(k))
+
+    def test_nothing_built_at_import(self):
+        src = str(Path(partitions.__file__).parents[1])
+        code = (
+            "import shuffle_spectra\n"
+            "from shuffle_spectra import partitions, profiles\n"
+            "assert partitions._source.cache_info().currsize == 0\n"
+            "assert profiles._spectral_table.cache_info().currsize == 0\n"
+            "partitions.enumerate_partitions(5)\n"
+            "assert partitions._source.cache_info().currsize == 1\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestTranspose:

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from shuffle_spectra import exact_chain as ec
 from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
-from shuffle_spectra.partitions import SizeLimitError, exact_dim, iter_partitions
+from shuffle_spectra.partitions import SizeLimitError, exact_dim
+
+from partition_oracle import iter_partitions
 
 
 def poisson_tv_oracle(mu1, mu2, terms=500):
