@@ -182,9 +182,11 @@ def _signs_and_logs(values):
 
 _SpectralTable = namedtuple(
     "_SpectralTable",
-    "lam1 lam1_t logd s_sign s_log parent logd_red sbar_idx sbar_sign sbar_log",
+    "lam1 lam1_t logd s_sign s_log parent logd_red sbar_idx sbar_sign sbar_log"
+    " sum_sign sum_log pkey_sum pkey_j pkey_logw key_sum key_j key_sbar key_logw",
 )
 _TABLE_CHUNK = 1024  # partitions per vectorised block of the table build
+_KEY_CHUNK = 1 << 16  # corners per block of the key grouping
 
 
 def _log_dims(log_fact, hooks):
@@ -218,28 +220,69 @@ def _corners(term, flat, row):
     return r, f, r + moved * (f > f1)
 
 
+def _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx):
+    """Partition keys (content sum, min(n - lam_1, n // 2)) with log sum d^2 and
+    corner keys (content sum, j, sbar index), j = min(n - lam_1, n - lam'_1, n // 2),
+    with log sum d d_corner, in ascending order: the trivial block's keys come
+    last. Every weight is summed as d^2 / n! or d d_corner / n!, in [1/n!, 1], by
+    np.add.at in table order, which gives the same bits in any chunking. Corner
+    keys are accumulated densely over compact ids of the (content sum, j) cells
+    in use and every sbar index, and no per-corner array outlives a chunk of
+    _KEY_CHUNK corners."""
+    log_fact, width, span = math.lgamma(n + 1), 2 * n - 1, n // 2 + 1
+    grid = (n * (n - 1) + 1) * span  # every content sum, every j
+    pw, used = np.zeros(grid), np.zeros(grid, bool)
+    cell = np.empty(len(sums), np.int32)  # the grid cell of each partition's corner keys
+    for k in range(0, len(sums), _KEY_CHUNK):
+        rs = slice(k, k + _KEY_CHUNK)
+        jp = np.minimum(n - lam1[rs], span - 1)
+        np.add.at(pw, sums[rs] * span + jp, np.exp(2.0 * logd[rs] - log_fact))
+        cell[rs] = sums[rs] * span + np.minimum(jp, n - lam1_t[rs])
+    used[cell] = True
+    pair = (np.cumsum(used, dtype=np.int32) - 1)[cell]
+    del cell
+    cw = np.zeros(np.count_nonzero(used) * width)
+    for k in range(0, len(parent), _KEY_CHUNK):
+        p, cs = parent[k : k + _KEY_CHUNK], slice(k, k + _KEY_CHUNK)
+        np.add.at(cw, pair[p] * width + sbar_idx[cs], np.exp(logd[p] + logd_red[cs] - log_fact))
+    pk, ck = np.flatnonzero(pw), np.flatnonzero(cw)
+    cell = np.flatnonzero(used)[ck // width]
+    return (
+        *divmod(pk, span), np.log(pw[pk]) + log_fact,
+        *divmod(cell, span), ck % width, np.log(cw[ck]) + log_fact,
+    )
+
+
 @lru_cache(maxsize=1)
 def _spectral_table(n):
     """Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
     log d, sign and log|s|; per corner (row order) parent index, log d_corner
     and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
-    sbar_log. Only the latest n is kept: callers evaluate one n at several
-    times, and a table holds 104 MB at n = 60. Built in numpy blocks of
-    _TABLE_CHUNK partitions from partition_blocks, boxes row by row, hooks
-    lam_i - j + lam'_j - i - 1; s and its sign and log are looked up by the
-    sum of contents, which takes one of 2 C(n, 2) + 1 values.
+    sbar_log; sign and log|s| by content sum (sum_sign, sum_log); and the keys
+    the sums run over (_group_keys): per partition key its content sum, j and
+    log sum d^2 (pkey_*), per corner key its content sum, j, sbar index and
+    log sum d d_corner (key_*). Only the latest n is kept: callers evaluate one
+    n at several times, and a table holds 108 MB at n = 60 (5 MB of it keys).
+    Built in numpy blocks of _TABLE_CHUNK partitions from partition_blocks,
+    boxes row by row, hooks lam_i - j + lam'_j - i - 1; s and its sign and log
+    are looked up by the sum of contents, which takes one of 2 C(n, 2) + 1 values.
     Each partition mu of n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its
     log d, from lam's hooks less one in row 1, is stored at lam's index, and
     lam's corner i reads it at the index of lam - e_i + e_1 (_corners).
     """
     count, term = _rank_terms(n)
-    lam1, lam1_t, s_sign, logd, s_log = (np.empty(count[n], t) for t in "i4 i4 i1 f8 f8".split())
+    lam1, lam1_t, sums, s_sign, logd, s_log = (
+        np.empty(count[n], t) for t in "i4 i4 i4 i1 f8 f8".split()
+    )
     logd_mu = np.empty(count[n])  # log d(lam - e_1) at lam, where lam_1 > lam_2
     # a corner is a distinct part, and p(n - k) partitions of n have a part k
     parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
     log_fact, log_red, cn2 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2
-    # s of every content sum num in [-cn2, cn2], the one float expression per value
-    s_of_num = 1.0 / n + (n - 1) / n * (np.arange(-cn2, cn2 + 1) * (1 / cn2))
+    # s of every content sum in [-cn2, cn2], the one float expression per value;
+    # s = 0 exactly where 2 * content = -n, which that expression leaves as a residue
+    content = np.arange(-cn2, cn2 + 1)
+    s_of_num = 1.0 / n + (n - 1) / n * (content * (1 / cn2))
+    s_of_num[2 * content == -n] = 0.0
     sign_of_num, log_of_num = _signs_and_logs(s_of_num.tolist())
     r0, c0 = 0, 0
     for block in partition_blocks(n, _TABLE_CHUNK):
@@ -255,7 +298,7 @@ def _spectral_table(n):
         hook = (box_lam - box_j + np.bincount(cell)[cell] - box_i - 1).reshape(m, n)
         num = (box_j - box_i).reshape(m, n).sum(1) + cn2  # sum of contents, from 0
         rs = slice(r0, r0 + m)
-        lam1[rs], lam1_t[rs] = block[:, 0], is_part.sum(1)
+        lam1[rs], lam1_t[rs], sums[rs] = block[:, 0], is_part.sum(1), num
         logd[rs] = _log_dims(log_fact, hook)
         s_sign[rs], s_log[rs] = sign_of_num[num], log_of_num[num]
         r, f, lift = _corners(term, flat, row)
@@ -265,8 +308,13 @@ def _spectral_table(n):
         parent[cs], sbar_idx[cs] = r + r0, flat[f] - row[f] + n - 2
         logd_red[cs] = logd_mu[lift + r0]
         r0, c0 = r0 + m, c0 + r.size
+    del logd_mu  # free its p(n) floats before the grouping allocates
     sbar = _signs_and_logs([v / n for v in range(2 - n, n + 1)])
-    table = _SpectralTable(lam1, lam1_t, logd, s_sign, s_log, parent, logd_red, sbar_idx, *sbar)
+    keys = _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx)
+    table = _SpectralTable(
+        lam1, lam1_t, logd, s_sign, s_log, parent, logd_red, sbar_idx, *sbar,
+        sign_of_num, log_of_num, *keys,
+    )
     for column in table:
         column.flags.writeable = False
     return table
@@ -283,32 +331,30 @@ def _check_truncation(n, truncation_m):
 
 
 def _comparison_sums(n, t, t_star, truncation_m):
-    """Every comparison sum at times (t, t*), evaluated on the table of n.
+    """Every comparison sum at times (t, t*), evaluated over the table's keys.
 
     Returns (log S, terms), where S = sum over partitions and corners of
     d * d_corner * (s^t - sbar^t*)^2 and terms are the four error terms of
-    bound_decomposition, split at lam_1 = n - truncation_m. Each log-term
-    array lists its terms in table order, so every sum is reproducible.
+    bound_decomposition, split at lam_1 = n - truncation_m. A corner enters
+    only through s, sbar and d * d_corner, so each sum runs over the corner
+    keys (content sum, j, sbar), weighted by their sums of d * d_corner, and
+    term1 over the partition keys; inner corners are those with j >= M.
     """
     tab = _spectral_table(n)
-    cut = n - truncation_m
-    parent = tab.parent
-    ssign, slog = _signed_pow(tab.s_sign, tab.s_log, t)
+    ssign, slog = _signed_pow(tab.sum_sign, tab.sum_log, t)
     bsign, blog = _signed_pow(tab.sbar_sign, tab.sbar_log, t_star)
-    bsign, blog = bsign[tab.sbar_idx], blog[tab.sbar_idx]
-    low = tab.lam1 <= cut
-    high_t = tab.lam1_t > cut
-    log1 = _log_sum(2.0 * tab.logd[low] + 2.0 * slog[low])
-    inner = (low & ~high_t)[parent]
-    owner = parent[inner]
-    log2 = _log_sum(tab.logd[owner] + tab.logd_red[inner] + 2.0 * blog[inner])
-    log3 = _log_sum(tab.logd[owner] + slog[owner] + tab.logd_red[inner] + blog[inner])
-    dsign, dlog = _signed_diff(ssign[parent], slog[parent], bsign, blog)
-    terms = tab.logd[parent] + tab.logd_red + 2.0 * dlog
+    high = tab.pkey_j >= truncation_m
+    log1 = _log_sum(tab.pkey_logw[high] + 2.0 * slog[tab.pkey_sum[high]])
+    inner = tab.key_j >= truncation_m
+    weight, ksum, ksbar = tab.key_logw, tab.key_sum, tab.key_sbar
+    log2 = _log_sum(weight[inner] + 2.0 * blog[ksbar[inner]])
+    log3 = _log_sum(weight[inner] + slog[ksum[inner]] + blog[ksbar[inner]])
+    dsign, dlog = _signed_diff(ssign[ksum], slog[ksum], bsign[ksbar], blog[ksbar])
+    terms = weight + 2.0 * dlog
     kept = dsign != 0
-    # term4 sums the lam_1 > cut and the lam'_1 > cut sides; as cut >= n/2 and
+    # term4 sums the lam_1 > n - M and the lam'_1 > n - M sides; as M <= n/2 and
     # lam_1 + lam'_1 <= n + 1, no partition lies on both
-    log4 = _log_sum(terms[kept & (~low | high_t)[parent]])
+    log4 = _log_sum(terms[kept & ~inner])
     parts = tuple(math.exp(v) for v in (log1, log2, log3, log4))
     return _log_sum(terms[kept]), parts
 
@@ -354,9 +400,8 @@ def l2_bound(chain, n, t):
         raise ValueError(f"unknown chain {chain!r}")
     tab = _spectral_table(n)
     if chain == "rt":
-        log_terms = 2.0 * tab.logd + _signed_pow(tab.s_sign, tab.s_log, 2 * t)[1]
+        log_terms = tab.pkey_logw + _signed_pow(tab.sum_sign, tab.sum_log, 2 * t)[1][tab.pkey_sum]
     else:
-        blog = _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][tab.sbar_idx]
-        log_terms = tab.logd[tab.parent] + tab.logd_red + blog
-    # the trivial block (n,) comes first and has a single corner
-    return 0.5 * math.exp(0.5 * _log_sum(log_terms[1:]))
+        log_terms = tab.key_logw + _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][tab.key_sbar]
+    # the trivial block (n,) is alone in the last key of each kind
+    return 0.5 * math.exp(0.5 * _log_sum(log_terms[:-1]))

@@ -11,6 +11,7 @@ from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, exact_dim
 
+from corner_oracle import corner_l2, corner_sums
 from partition_oracle import iter_partitions
 
 
@@ -286,6 +287,21 @@ class TestComparisonBound:
         rep = pr.comparison_bound(20, -0.3, truncation_m=3)
         assert rep.parts == pr.bound_decomposition(20, -0.3, 3)
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 0.5, 1.7])
+    @pytest.mark.parametrize("n", [12, 33, 48])
+    def test_keys_match_corner_oracle(self, n, c):
+        # grouping corners by (s, j, sbar) reorders the sums, nothing else
+        tab = pr._spectral_table(n)
+        t, t_star = pr.cutoff_times(n, c)
+        for m in sorted({1, min(5, n // 2), n // 2}):
+            want_log, want_parts = corner_sums(tab, n, t, t_star, m)
+            log_total, parts = pr._comparison_sums(n, t, t_star, m)
+            assert math.exp(log_total) == pytest.approx(math.exp(want_log), rel=1e-12, abs=0.0)
+            assert parts == pytest.approx(want_parts, rel=1e-12, abs=0.0)
+        for chain, steps in (("rt", t), ("star", t_star)):
+            want = corner_l2(tab, chain, steps)
+            assert pr.l2_bound(chain, n, steps) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestBoundDecomposition:
     def test_m1_boundary_terms(self):
@@ -433,15 +449,55 @@ class TestSpectralTable:
         np.testing.assert_allclose(
             tab.s_log[nonzero], [math.log(abs(s)) for s in s_exact if s], rtol=1e-12
         )
-        # an exactly zero s is computed in floating point and may keep a
-        # rounding residue, never more
-        assert np.all(tab.s_log[~nonzero] < math.log(1e-15))
+        assert np.all(tab.s_log[~nonzero] == -math.inf)
         sbar = corners["sbar"]
         idx = tab.sbar_idx
         assert tab.sbar_sign[idx].tolist() == [sign_of(v) for v in sbar]
         np.testing.assert_allclose(
             tab.sbar_log[idx], [math.log(abs(v)) if v else -math.inf for v in sbar], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("n", range(2, 23))
+    def test_zero_eigenvalues_are_exact(self, n):
+        # s = 0 where 2 * (sum of contents) = -n; a float residue there would
+        # keep (s^t - sbar^t*) terms that should vanish
+        s_exact = scalar_table(n)[0]["s"]
+        tab = pr._spectral_table.__wrapped__(n)
+        assert (tab.s_sign == 0).tolist() == [s == 0 for s in s_exact]
+
+    @pytest.mark.parametrize("n", range(2, 49))
+    def test_key_weights_sum_to_n_factorial(self, n):
+        # sum of d^2 over partitions, and of d * d_corner over corners by the
+        # branching rule d = sum over corners of d_corner, are both n!
+        tab = pr._spectral_table(n)
+        log_fact = math.lgamma(n + 1)
+        for weights in (tab.pkey_logw, tab.key_logw):
+            assert math.exp(pr._log_sum(weights) - log_fact) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_keys_group_the_corners(self, n):
+        tab = pr._spectral_table.__wrapped__(n)
+        half, sums, pweight, cweight = n // 2, [], {}, {}
+        for lam in iter_partitions(n):
+            d = exact_dim(lam)
+            sums.append(sum(j - i for i, p in enumerate(lam) for j in range(p)) + n * (n - 1) // 2)
+            key = (sums[-1], min(n - lam[0], half))
+            pweight[key] = pweight.get(key, 0) + d * d
+            j = min(n - lam[0], n - len(lam), half)
+            for i, p in enumerate(lam):
+                if i + 1 < len(lam) and lam[i + 1] == p:
+                    continue
+                reduced = tuple(x - (k == i) for k, x in enumerate(lam) if x - (k == i))
+                key = (sums[-1], j, p - i + n - 2)
+                cweight[key] = cweight.get(key, 0) + d * exact_dim(reduced)
+        assert np.array_equal(tab.sum_sign[sums], tab.s_sign)
+        assert np.array_equal(tab.sum_log[sums], tab.s_log)
+        pkeys = list(zip(tab.pkey_sum.tolist(), tab.pkey_j.tolist()))
+        ckeys = list(zip(tab.key_sum.tolist(), tab.key_j.tolist(), tab.key_sbar.tolist()))
+        assert pkeys == sorted(pweight) and ckeys == sorted(cweight)
+        # an absolute error in a log weight is a relative error in the weight
+        for got, weight, keys in ((tab.pkey_logw, pweight, pkeys), (tab.key_logw, cweight, ckeys)):
+            np.testing.assert_allclose(got, [math.log(weight[k]) for k in keys], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [48, 60])
     def test_sampled_corners_match_scalar_walk(self, n):
@@ -486,8 +542,10 @@ class TestSpectralTable:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries(self, monkeypatch, chunk):
+        # the key weights too: np.add.at sums in table order in any chunking
         want = pr._spectral_table.__wrapped__(20)
         monkeypatch.setattr(pr, "_TABLE_CHUNK", chunk)
+        monkeypatch.setattr(pr, "_KEY_CHUNK", chunk)
         got = pr._spectral_table.__wrapped__(20)
         for name, column in zip(want._fields, got):
             expected = getattr(want, name)
@@ -496,4 +554,5 @@ class TestSpectralTable:
 
     def test_columns_are_read_only(self):
         tab = pr._spectral_table(9)
+        assert {"sum_log", "pkey_logw", "key_logw"} <= set(tab._fields)
         assert not any(column.flags.writeable for column in tab)
