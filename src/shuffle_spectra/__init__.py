@@ -6,7 +6,14 @@ Modules:
     exact_chain  brute-force engine over S_n at small n (exact matrices, TV)
     profiles     Poisson limit profile and the log-space comparison bound
     cli          command-line front end
+
+Importing the package loads numpy only. `exact_chain` is the one module that
+needs scipy, so it and the names re-exported from it are imported on first
+access (PEP 562): `from shuffle_spectra import build_matrix` and
+`shuffle_spectra.exact_chain` both work, and load scipy then.
 """
+
+import importlib
 
 from .partitions import (
     Corner,
@@ -23,17 +30,6 @@ from .spectra import (
     spectrum_trace,
     star_eigenvalues,
 )
-from .exact_chain import (
-    SparseScaledMatrix,
-    build_matrix,
-    commutation_check,
-    evolve,
-    lemma_l2_check,
-    numeric_eig_multiset,
-    trajectory,
-    tv_between,
-    tv_to_uniform,
-)
 from .profiles import (
     BoundReport,
     ProfilePoint,
@@ -48,3 +44,22 @@ from .profiles import (
 )
 
 __version__ = "0.1.0"
+
+_EXACT_CHAIN_NAMES = frozenset({
+    "SparseScaledMatrix",
+    "build_matrix",
+    "commutation_check",
+    "evolve",
+    "lemma_l2_check",
+    "numeric_eig_multiset",
+    "trajectory",
+    "tv_between",
+    "tv_to_uniform",
+})
+
+
+def __getattr__(name):
+    if name == "exact_chain" or name in _EXACT_CHAIN_NAMES:
+        module = importlib.import_module(".exact_chain", __name__)
+        return module if name == "exact_chain" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

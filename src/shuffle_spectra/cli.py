@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact_chain, profiles, spectra
+from . import profiles, spectra
 from .partitions import EXACT_DIM_CAP, corners, enumerate_partitions, exact_dim, transpose
 
 SEP = ";"
@@ -67,6 +67,8 @@ def _cmd_profile(args):
 
 
 def _cmd_exact_tv(args):
+    from . import exact_chain  # loads scipy, which only the exact engine needs
+
     if args.t_max > exact_chain.EXACT_TV_T_CAP:
         raise ValueError(f"--t-max must be at most {exact_chain.EXACT_TV_T_CAP}")
     matrix = exact_chain.build_matrix(args.chain, args.n)
@@ -78,6 +80,9 @@ def _cmd_exact_tv(args):
 
 
 def _cmd_compare(args):
+    from . import exact_chain
+
+    exact_chain.check_build_n(args.n)  # before the spectral table, which costs seconds at n = 60
     rep = profiles.comparison_bound(args.n, args.c)
     p = exact_chain.build_matrix("star", args.n)
     q = exact_chain.build_matrix("rt", args.n)
@@ -91,6 +96,8 @@ def _cmd_compare(args):
 
 def _verify_checks(n):
     """Identity suite at deck size n. Yields (name, "pass"/"fail"/"skip")."""
+    from . import exact_chain
+
     lams = enumerate_partitions(n)
     dims = {lam: exact_dim(lam) for lam in lams}
     # every corner's reduced shape is a partition of n - 1

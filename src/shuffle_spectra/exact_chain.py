@@ -86,14 +86,19 @@ def _transposition(n, a, b):
     return tuple(g)
 
 
+def check_build_n(n):
+    """Raise SizeLimitError unless an n-card matrix may be built."""
+    if not 2 <= n <= MAX_BUILD_N:
+        raise SizeLimitError(f"matrix construction limited to 2 <= n <= {MAX_BUILD_N}")
+
+
 def build_matrix(chain, n):
     """Exact transition matrix of random transpositions ("rt") or star ("star").
 
     rt: scale 2, weight n on the diagonal and 2 on each transposition neighbor.
     star: scale 1, weight 1 on the diagonal and on each (top, j) swap.
     """
-    if not 2 <= n <= MAX_BUILD_N:
-        raise SizeLimitError(f"matrix construction limited to 2 <= n <= {MAX_BUILD_N}")
+    check_build_n(n)
     ident = tuple(range(n))
     if chain == "rt":
         weights = {ident: n}
@@ -115,8 +120,7 @@ def build_skewed_matrix(n):
     Not conjugacy-invariant, so it need not commute with the star chain.
     Scale 1: weight 1 on the diagonal, n-1 on the (0 1) swap.
     """
-    if not 2 <= n <= MAX_BUILD_N:
-        raise SizeLimitError(f"matrix construction limited to 2 <= n <= {MAX_BUILD_N}")
+    check_build_n(n)
     weights = {tuple(range(n)): 1, _transposition(n, 0, 1): n - 1}
     return _build_from_weights(n, weights, 1)
 

@@ -107,6 +107,15 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["60", "9", "1"])
+    def test_compare_n_out_of_range_builds_no_table(self, n, capsys):
+        misses = profiles._spectral_table.cache_info().misses
+        code = cli.run(["compare", "--n", n, "--c", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: matrix construction limited to 2 <= n <= 8\n"
+        assert profiles._spectral_table.cache_info().misses == misses
+
     def test_usage_error_is_two(self, capsys):
         assert run_cli(["bound", "--n", "8"], capsys)[0] == 2  # missing --c
         assert run_cli(["no-such-command"], capsys)[0] == 2
@@ -191,6 +200,64 @@ class TestExactTv:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "--t-max" in captured.err
+
+
+# exact_chain's names re-exported by the package, resolved on first access
+LAZY_EXPORTS = [
+    "SparseScaledMatrix",
+    "build_matrix",
+    "commutation_check",
+    "evolve",
+    "lemma_l2_check",
+    "numeric_eig_multiset",
+    "trajectory",
+    "tv_between",
+    "tv_to_uniform",
+]
+
+COLD_START = f"""
+import contextlib, io, sys
+import shuffle_spectra
+assert "scipy" not in sys.modules, "import shuffle_spectra"
+from shuffle_spectra import cli
+assert "scipy" not in sys.modules, "import cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {[SUBCOMMANDS[name] for name in ("bound", "decompose", "profile", "spectrum")]!r}:
+        assert cli.run(argv) == 0, argv
+        assert "scipy" not in sys.modules, argv
+    try:
+        shuffle_spectra.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError("unknown attribute resolved")
+    assert "scipy" not in sys.modules, "unknown attribute"
+    assert cli.run(["compare", "--n", "4", "--c", "0"]) == 0
+assert "scipy" in sys.modules, "compare"
+"""
+
+LAZY_IDENTITY = f"""
+import sys
+import shuffle_spectra
+from shuffle_spectra import exact_chain
+assert exact_chain is shuffle_spectra.exact_chain is sys.modules["shuffle_spectra.exact_chain"]
+for name in {LAZY_EXPORTS!r}:
+    ns = {{}}
+    exec(f"from shuffle_spectra import {{name}}", ns)
+    assert ns[name] is getattr(shuffle_spectra, name) is getattr(exact_chain, name), name
+"""
+
+
+class TestColdImport:
+    """The package and the spectral-sum commands load no scipy; the exact engine does."""
+
+    @pytest.mark.parametrize("script", [COLD_START, LAZY_IDENTITY], ids=["cli", "lazy-names"])
+    def test_fresh_interpreter(self, script):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestOutputModes:
