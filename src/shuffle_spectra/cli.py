@@ -10,6 +10,7 @@ import numpy as np
 
 from . import profiles, spectra
 from .partitions import EXACT_DIM_CAP, corners, enumerate_partitions, exact_dim, transpose
+from .partitions import MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N
 
 SEP = ";"
 
@@ -95,9 +96,10 @@ def _cmd_compare(args):
 
 
 def _verify_checks(n):
-    """Identity suite at deck size n. Yields (name, "pass"/"fail"/"skip")."""
-    from . import exact_chain
+    """Identity suite at deck size n. Yields (name, "pass"/"fail"/"skip").
 
+    Only the checks that build matrices import exact_chain, and with it scipy.
+    """
     lams = enumerate_partitions(n)
     dims = {lam: exact_dim(lam) for lam in lams}
     # every corner's reduced shape is a partition of n - 1
@@ -160,11 +162,13 @@ def _verify_checks(n):
             if r_bar_t != -r_bar:
                 ok = False
     yield "transpose-antisymmetry", status(ok)
-    if n <= exact_chain.MAX_EXACT_PRODUCT_N:
+    if n <= MAX_EXACT_PRODUCT_N:
+        from . import exact_chain
         yield "commutation", status(exact_chain.commutation_check(n))
     else:
         yield "commutation", "skip"
     if n <= 5:
+        from . import exact_chain
         ok = True
         for chain in spectra.CHAINS:
             numeric = exact_chain.numeric_eig_multiset(exact_chain.build_matrix(chain, n))
@@ -177,7 +181,8 @@ def _verify_checks(n):
         yield "spectrum-vs-numeric", status(ok)
     else:
         yield "spectrum-vs-numeric", "skip"
-    if n <= exact_chain.MAX_DENSE_EIG_N:
+    if n <= MAX_DENSE_EIG_N:
+        from . import exact_chain
         ok = True
         p = exact_chain.build_matrix("star", n)
         q = exact_chain.build_matrix("rt", n)

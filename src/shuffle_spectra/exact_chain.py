@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .partitions import SizeLimitError
+from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, SizeLimitError
 from .profiles import _comparison_sums
 
-MAX_BUILD_N = 8
-MAX_EXACT_PRODUCT_N = 7
-MAX_DENSE_EIG_N = 6
 EXACT_TV_T_CAP = 10_000
 
 

@@ -12,6 +12,11 @@ import numpy as np
 
 PARTITION_CAP = 60  # p(60) = 966,467; p(70) is 4.1 M and p(100) 190 M
 EXACT_DIM_CAP = 30
+# the exact engine's guards, kept here so that callers can test them without
+# importing exact_chain and with it scipy
+MAX_BUILD_N = 8
+MAX_EXACT_PRODUCT_N = 7
+MAX_DENSE_EIG_N = 6
 
 
 class SizeLimitError(ValueError):
@@ -29,15 +34,19 @@ def check_partition(parts):
     return parts
 
 
+@lru_cache(maxsize=1)
 def count_table(n):
-    """at_most[v, k]: the number of partitions of k with no part above v, v, k <= n."""
+    """at_most[v, k]: the number of partitions of k with no part above v, v, k <= n.
+    Read-only, as the cache shares it."""
     count = [1] + [0] * n
     columns = [count[:]]
     for part in range(1, n + 1):
         for k in range(part, n + 1):
             count[k] += count[k - part]
         columns.append(count[:])
-    return np.array(columns)
+    at_most = np.array(columns)
+    at_most.flags.writeable = False
+    return at_most
 
 
 @lru_cache(maxsize=1)
@@ -58,14 +67,16 @@ def _source(n):
     k = np.arange(n)
     off = np.zeros(n + 1, np.intp)
     np.cumsum(at_most[np.minimum(k, n - k), k], out=off[1:])
+    # the blocks (k, f) of levels k = 1..n - 1 in entry order, f = min(k, n - k)..1
+    width = np.minimum(k[1:], n - k[1:])
+    k = np.repeat(k[1:], width)
+    f = np.repeat(np.cumsum(width), width) - np.arange(len(k))
+    count = at_most[np.minimum(f, k - f), k - f]
+    # block (k, f) points at the last count entries of level k - f
+    shift = off[k - f + 1] - count - (off[1] + np.cumsum(count) - count)
     first, tail = np.zeros(off[n], np.int8), np.zeros(off[n], np.int32)
-    for k in range(1, n):
-        f = np.arange(min(k, n - k), 0, -1)
-        count = at_most[np.minimum(f, k - f), k - f]
-        # block f points at the last count entries of level k - f
-        shift = off[k - f + 1] - count - (np.cumsum(count) - count)
-        first[off[k]:off[k + 1]] = np.repeat(f, count)
-        tail[off[k]:off[k + 1]] = np.repeat(shift, count) + np.arange(off[k + 1] - off[k])
+    first[off[1]:] = np.repeat(f, count)
+    tail[off[1]:] = np.repeat(shift, count) + np.arange(off[1], off[n])
     for array in (first, tail, off):  # shared by every caller through the cache
         array.flags.writeable = False
     return first, tail, off

@@ -6,6 +6,7 @@ every factor is carried as a sign plus a natural-log magnitude and the sum is
 accumulated with a stable log-sum-exp.
 """
 
+import bisect
 import itertools
 import math
 from collections import namedtuple
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import PARTITION_CAP, SizeLimitError, count_table, partition_blocks
+from .partitions import PARTITION_CAP, SizeLimitError, _source, count_table
 
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
@@ -182,42 +183,126 @@ def _signs_and_logs(values):
 
 _SpectralTable = namedtuple(
     "_SpectralTable",
-    "lam1 lam1_t logd s_sign s_log parent logd_red sbar_idx sbar_sign sbar_log"
+    "lam1 lam1_t logd s_sign s_log sbar_sign sbar_log"
     " sum_sign sum_log pkey_sum pkey_j pkey_logw key_sum key_j key_sbar key_logw",
 )
-_TABLE_CHUNK = 1024  # partitions per vectorised block of the table build
+_Corners = namedtuple("_Corners", "parent logd_red sbar_idx")
+_TABLE_CHUNK = 8192  # partitions per batch of the level recursion and the log pass
 _KEY_CHUNK = 1 << 16  # corners per block of the key grouping
+_CODE = 256  # a corner's code: lift * _CODE + sbar index (< 2n - 1); int32 to n = 75
 
 
-def _log_dims(log_fact, hooks):
-    """log n! less the log of each row's hooks, in a scalar walk's box order."""
-    acc = np.full(len(hooks), log_fact)
-    for column in _LOG_INT[hooks.T]:
-        acc -= column
+def _log_dims(start, boxes):
+    """start (log n!) less the log of each partition's hooks, in a scalar walk's
+    box order; boxes holds one row per box, one column per partition."""
+    acc = start.copy()
+    for hooks in boxes:
+        acc -= _LOG_INT.take(hooks)
     return acc
 
 
-def _rank_terms(n):
-    """p(k), k <= n, and term: index(lam) = p(n) - 1 + sum over rows of term[boxes below, part]."""
+def _partition_rows(n):
+    """The partitions of n in table order, by the level recursion of _source(n).
+
+    Entry e = (f, tau) of level k, tau the entry at its tail index, stands for
+    lam = (n - k, e). e's hooks in box order are its row-0 hooks f - j + tau'_j,
+    then tau's hooks; lam adds its row 0 the same way, with e' = tau' + [j < f].
+    e's corners are row 0 if f > tau_1, then tau's corners one row lower. e less
+    a corner of tau is (f, tau less it) at level k - 1, and e less its row 0 is
+    (f - 1, tau): each index is a fixed offset from an index of tau's. lam less
+    a corner of e, plus e_1, is entry e less it, so that index is the corner's
+    lift, the table index of lam - e_i + e_1. So a level is a few gathers from
+    lower ones. Only entries that later levels read as tails are stored (first
+    part at most (n - k) / 2): lam's hooks, right-aligned, so tau's already sit
+    in e's last columns, and e's content sum and corners.
+
+    Yields per batch of _TABLE_CHUNK partitions (the last may be shorter): the
+    index of its first partition, the hooks (int8, n columns), lam'_1, content
+    sums (from 0), and the corners in row order: their number per partition,
+    their lifts and their sbar indices lam_i - i + n - 2.
+    """
+    first, tail, off = _source(n)
     at_most = count_table(n)
-    at_most, (a, v) = np.vstack([at_most, at_most[n]]).T, np.ogrid[: n + 1, : n + 2]
-    return at_most[:, n], at_most[a, v] - at_most[np.minimum(a + v, n), v]
-
-
-def _corners(term, flat, row):
-    """Corners of a block of partitions of n, as parts flat and their rows, in
-    row order: partition r, flat position f, and the block index of lam - e_i + e_1,
-    at most r. Moving the corner's box to row 1 changes the terms of rows 1..i only."""
-    owner = np.cumsum(row == 0) - 1
-    below = (len(term) - 1) * (owner + 1) - np.cumsum(flat)
-    f = np.flatnonzero(flat > np.where(below, np.append(flat[1:], 0), 0))
-    r, f1 = owner[f], f - row[f]
-    # rows above the corner lose a box below them; no sum spans a last row (below = 0)
-    up = term[below - 1, flat] - term[below, flat]
-    run = np.cumsum(up) - up
-    moved = term[below[f1] - 1, flat[f1] + 1] - term[below[f1] - 1, flat[f1]]
-    moved += run[f] - run[f1] + term[below[f], flat[f] - 1] - term[below[f], flat[f]]
-    return r, f, r + moved * (f > f1)
+    level = np.arange(n)
+    kept = at_most[np.minimum((n - level) // 2, level), level]
+    start = np.zeros(n + 1, np.intp)
+    np.cumsum(kept, out=start[1:])
+    shift = off[1:] - kept - start[:-1]  # a stored entry's slot is its index less this
+    # entry (g, tau) of level k - 1 has index tau + step[k, g]: its block ends
+    # before the partitions of k - 1 with first part < g, and its tails end
+    # with level k - 1 - g (row k = 0 only shifts the empty partition's corners: none)
+    below = np.zeros((n + 2, n + 1), np.int64)  # below[g, k]: first part < g
+    below[1:] = at_most
+    k, g = level[:, None], np.arange(n + 1)
+    step = off[k] - below[g, k - 1] - off[np.maximum(k - g, 0)]
+    # per (level, first part) of e, at kf = k (n + 1) + f: its content sum over
+    # tau's and its corners' codes over tau's, one row lower; and the code of
+    # its row-0 corner less tau * _CODE, sbar index f + n - 2 (f >= 1)
+    most = (math.isqrt(8 * n - 7) - 1) // 2  # corners of a partition of n - 1
+    plan = np.zeros((n * (n + 1), 2 + most), np.int32)
+    plan[:, 0] = (g * (g + 1) // 2 - k).ravel()
+    plan[:, 2:] = (step * _CODE - 1).reshape(-1, 1)
+    front = (step[:, g - 1] * _CODE + g + n - 2).ravel()
+    # a stored row: hooks (n bytes, padded to whole int32s), then as int32 the
+    # content sum, the number of corners and their codes, right-aligned
+    pad, width = -(-n // 4), -(-n // 4) + 2 + most
+    store = np.zeros((start[n], 4 * width), np.int8)
+    store[0, :n] = np.arange(n, 0, -1)  # lam = (n) of the empty partition, level 0's tail
+    hook_column, corner_column = np.arange(n, dtype=np.int8), np.arange(most + 1)
+    offs, slot = off.tolist(), shift.tolist()
+    for lo in range(0, offs[n], _TABLE_CHUNK):
+        # the batch's entries lo..hi - 1 meet levels ka..kb - 1, from edge to edge
+        hi = min(lo + _TABLE_CHUNK, offs[n])
+        ka, kb = bisect.bisect_right(offs, lo) - 1, bisect.bisect_left(offs, hi)
+        edge = [lo, *offs[ka + 1:kb], hi]
+        lev = level[ka:kb].repeat(np.diff(edge))
+        f, t = first[lo:hi], tail[lo:hi]
+        kf = lev * (n + 1) + f
+        src = t - shift[lev - f]
+        # A gathered row holds tau's lam's row 0, (n - k + f) - j + tau'_j, in
+        # front. lam's row 0, (n - k) - j + e'_j, is that plus fix = [j < f] - f.
+        # e's row 0 lies where tau's lam's row 0 holds f - j (tau'_j = 0 there,
+        # as tau_1 <= f <= n - k) and takes tau'_j more: lam's row 0 plus
+        # lead = j - (n - k) - [j < f].
+        box = (hook_column < f[:, None]).view(np.int8)
+        fix = box - f[:, None]
+        lead = hook_column[:n // 2] + (lev - n).astype(np.int8)[:, None] - box[:, :n // 2]
+        grows = f > first[t]  # e's row 0 is a corner
+        add = plan[kf]
+        add[:, 1] = grows
+        grow = grows.nonzero()[0]
+        grow_code = t[grow] * _CODE + front[kf[grow]]
+        gptr = np.searchsorted(grow, np.array(edge) - lo).tolist()
+        # flat int32 positions of a growing row's number of corners and list end
+        grow_count, grow_end = grow * width + pad + 1, (grow + 1) * width
+        rows = np.empty((hi - lo, 4 * width), np.int8)
+        flat = rows.view(np.int32).reshape(-1)
+        hooks, c = rows[:, :n], flat.reshape(hi - lo, width)[:, pad:]
+        for i, k in enumerate(range(ka, kb)):
+            a, b, w = edge[i] - lo, edge[i + 1] - lo, min(k, n - k)
+            store.take(src[a:b], 0, rows[a:b], "clip")  # "raise" would buffer the output
+            h = hooks[a:b]
+            h[:, :n - k] += fix[a:b, :n - k]
+            h[:, n - k:n - k + w] += h[:, :w] + lead[a:b, :w]
+            c[a:b] += add[a:b]
+            gs = slice(gptr[i], gptr[i + 1])
+            flat[grow_end[gs] - flat[grow_count[gs]]] = grow_code[gs]  # in front of tau's
+            # store the level's last kept[k] entries
+            x = max(edge[i], offs[k + 1] - kept[k])
+            store[x - slot[k]:edge[i + 1] - slot[k]] = rows[x - lo:b]
+        # lam = (n - k, e): e's corners one row lower, after row 0 if n - k > f,
+        # whose sbar index is 2n - 2 - k
+        top = f < n - lev
+        lam = np.empty((hi - lo, most + 1), np.int32)
+        lam[:, 1:] = c[:, 2:] - 1
+        r = top.nonzero()[0]
+        lam.reshape(-1)[r * (most + 1) + most - c[r, 1]] = (r + lo) * _CODE + 2 * n - 2 - lev[r]
+        count = c[:, 1] + top
+        lift, sbar = np.divmod(lam[corner_column >= most + 1 - count[:, None]], _CODE)
+        # lam's content sum adds (n - k)(n - k - 1) / 2 - k; its hook at (0, 0)
+        # is lam_1 + lam'_1 - 1
+        sums = c[:, 0] + ((n - lev) * (n - lev - 1) // 2 - lev + n * (n - 1) // 2)
+        yield lo, hooks, hooks[:, 0] + 1 - n + lev, sums, count, lift, sbar
 
 
 def _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx):
@@ -253,71 +338,72 @@ def _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx):
     )
 
 
-@lru_cache(maxsize=1)
-def _spectral_table(n):
-    """Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
-    log d, sign and log|s|; per corner (row order) parent index, log d_corner
-    and the index of sbar = (p - i)/n among its 2n - 1 values in sbar_sign and
-    sbar_log; sign and log|s| by content sum (sum_sign, sum_log); and the keys
-    the sums run over (_group_keys): per partition key its content sum, j and
-    log sum d^2 (pkey_*), per corner key its content sum, j, sbar index and
-    log sum d d_corner (key_*). Only the latest n is kept: callers evaluate one
-    n at several times, and a table holds 108 MB at n = 60 (5 MB of it keys).
-    Built in numpy blocks of _TABLE_CHUNK partitions from partition_blocks,
-    boxes row by row, hooks lam_i - j + lam'_j - i - 1; s and its sign and log
-    are looked up by the sum of contents, which takes one of 2 C(n, 2) + 1 values.
-    Each partition mu of n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its
-    log d, from lam's hooks less one in row 1, is stored at lam's index, and
-    lam's corner i reads it at the index of lam - e_i + e_1 (_corners).
+def _build_table(n):
+    """The spectral table of n and its per-corner columns, uncached.
+
+    Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
+    log d, sign and log|s|; the 2n - 1 values of sbar = (p - i)/n in sbar_sign
+    and sbar_log; sign and log|s| by content sum (sum_sign, sum_log); and the
+    keys the sums run over (_group_keys): per partition key its content sum, j
+    and log sum d^2 (pkey_*), per corner key its content sum, j, sbar index and
+    log sum d d_corner (key_*). Per corner (row order): parent index,
+    log d_corner and sbar index. Partitions and corners come from the level
+    recursion (_partition_rows); s is looked up by the content sum, which takes
+    one of 2 C(n, 2) + 1 values. Each partition mu of n - 1 is lam - e_1 for
+    one lam with lam_1 > lam_2: its log d, from lam's hooks less one in row 1,
+    is stored at lam's index, and lam's corner i reads it at the corner's lift,
+    the index of lam - e_i + e_1.
     """
-    count, term = _rank_terms(n)
-    lam1, lam1_t, sums, s_sign, logd, s_log = (
-        np.empty(count[n], t) for t in "i4 i4 i4 i1 f8 f8".split()
-    )
-    logd_mu = np.empty(count[n])  # log d(lam - e_1) at lam, where lam_1 > lam_2
+    first, _, off = _source(n)
+    lam1 = np.repeat(np.arange(n, 0, -1, dtype=np.int32), np.diff(off))
+    lam1_t, sums = np.empty(off[n], np.int32), np.empty(off[n], np.int32)
+    logd, logd_mu = np.empty(off[n]), np.empty(off[n])  # log d(lam - e_1) at lam
+    counts = np.empty(off[n], np.int8)
     # a corner is a distinct part, and p(n - k) partitions of n have a part k
-    parent, sbar_idx, logd_red = (np.empty(sum(count[:n]), t) for t in "i4 u2 f8".split())
-    log_fact, log_red, cn2 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2
+    size = count_table(n)[n, :n].sum()
+    lift, sbar_idx = np.empty(size, np.int32), np.empty(size, np.uint16)
+    log_fact, log_red, cn2, c0 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2, 0
+    for lo, hooks, cols, batch_sums, batch_counts, lifts, sbar in _partition_rows(n):
+        hi, cs = lo + len(hooks), slice(c0, c0 + len(lifts))
+        lam1_t[lo:hi], sums[lo:hi], counts[lo:hi] = cols, batch_sums, batch_counts
+        lift[cs], sbar_idx[cs] = lifts, sbar
+        # log d of each lam, and of lam - e_1 where lam_1 > lam_2: row 1 less
+        # one before its corner
+        top = np.flatnonzero(lam1[lo:hi] > first[lo:hi])
+        boxes = np.empty((n, len(hooks) + len(top)), np.int8)
+        boxes[:, :len(hooks)] = hooks.T
+        boxes[:, len(hooks):] = hooks[top].T
+        boxes[:, len(hooks):] -= np.arange(n)[:, None] + 1 < lam1[lo:hi][top]
+        logs = _log_dims(np.repeat([log_fact, log_red], [len(hooks), len(top)]), boxes)
+        logd[lo:hi], logd_mu[top + lo] = logs[:len(hooks)], logs[len(hooks):]
+        c0 = cs.stop
+    logd_red = logd_mu[lift]
+    del lift, logd_mu  # free them before the grouping allocates
+    parent = np.repeat(np.arange(off[n], dtype=np.int32), counts)
     # s of every content sum in [-cn2, cn2], the one float expression per value;
     # s = 0 exactly where 2 * content = -n, which that expression leaves as a residue
     content = np.arange(-cn2, cn2 + 1)
     s_of_num = 1.0 / n + (n - 1) / n * (content * (1 / cn2))
     s_of_num[2 * content == -n] = 0.0
     sign_of_num, log_of_num = _signs_and_logs(s_of_num.tolist())
-    r0, c0 = 0, 0
-    for block in partition_blocks(n, _TABLE_CHUNK):
-        # flat: every part, partition by partition; row: the row of each part
-        is_part = block != 0
-        m, flat = len(block), block[is_part].astype(np.intp)
-        row = np.broadcast_to(np.arange(block.shape[1]), block.shape)[is_part]
-        # the n boxes of each partition, row by row: row i, column j, lam_i
-        box = np.arange(m * n)
-        box_i, box_lam = np.repeat(row, flat), np.repeat(flat, flat)
-        box_j = box - np.repeat(np.cumsum(flat) - flat, flat)
-        cell = box - box % n + box_j  # lam'_j of the box's partition
-        hook = (box_lam - box_j + np.bincount(cell)[cell] - box_i - 1).reshape(m, n)
-        num = (box_j - box_i).reshape(m, n).sum(1) + cn2  # sum of contents, from 0
-        rs = slice(r0, r0 + m)
-        lam1[rs], lam1_t[rs], sums[rs] = block[:, 0], is_part.sum(1), num
-        logd[rs] = _log_dims(log_fact, hook)
-        s_sign[rs], s_log[rs] = sign_of_num[num], log_of_num[num]
-        r, f, lift = _corners(term, flat, row)
-        top = r[row[f] == 0] + r0  # lam_1 > lam_2: row 1 less one before its corner
-        logd_mu[top] = _log_dims(log_red, hook[top - r0] - (np.arange(n) + 1 < lam1[top, None]))
-        cs = slice(c0, c0 + r.size)
-        parent[cs], sbar_idx[cs] = r + r0, flat[f] - row[f] + n - 2
-        logd_red[cs] = logd_mu[lift + r0]
-        r0, c0 = r0 + m, c0 + r.size
-    del logd_mu  # free its p(n) floats before the grouping allocates
     sbar = _signs_and_logs([v / n for v in range(2 - n, n + 1)])
     keys = _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx)
     table = _SpectralTable(
-        lam1, lam1_t, logd, s_sign, s_log, parent, logd_red, sbar_idx, *sbar,
+        lam1, lam1_t, logd, sign_of_num[sums], log_of_num[sums], *sbar,
         sign_of_num, log_of_num, *keys,
     )
-    for column in table:
+    corners = _Corners(parent, logd_red, sbar_idx)
+    for column in table + corners:
         column.flags.writeable = False
-    return table
+    return table, corners
+
+
+@lru_cache(maxsize=1)
+def _spectral_table(n):
+    """The table of _build_table(n), without the per-corner columns, which no
+    sum reads: 5.6 MB at n = 48 and 29 MB at n = 60. Only the latest n is
+    kept: callers evaluate one n at several times."""
+    return _build_table(n)[0]
 
 
 def _check_bound_n(n):

@@ -1,40 +1,40 @@
 """The comparison sums and l2 bounds evaluated corner by corner over the
-spectral table's per-corner columns, the tests' oracle for the library's
-evaluation over grouped keys."""
+per-corner columns of the uncached table build (profiles._build_table), the
+tests' oracle for the library's evaluation over grouped keys."""
 
 import math
 
 from shuffle_spectra.profiles import _log_sum, _signed_diff, _signed_pow
 
 
-def corner_sums(tab, n, t, t_star, truncation_m):
+def corner_sums(tab, corners, n, t, t_star, truncation_m):
     """(log S, four error terms) with one term per partition or corner."""
     cut = n - truncation_m
-    parent = tab.parent
+    parent = corners.parent
     ssign, slog = _signed_pow(tab.s_sign, tab.s_log, t)
     bsign, blog = _signed_pow(tab.sbar_sign, tab.sbar_log, t_star)
-    bsign, blog = bsign[tab.sbar_idx], blog[tab.sbar_idx]
+    bsign, blog = bsign[corners.sbar_idx], blog[corners.sbar_idx]
     low = tab.lam1 <= cut
     high_t = tab.lam1_t > cut
     log1 = _log_sum(2.0 * tab.logd[low] + 2.0 * slog[low])
     inner = (low & ~high_t)[parent]
     owner = parent[inner]
-    log2 = _log_sum(tab.logd[owner] + tab.logd_red[inner] + 2.0 * blog[inner])
-    log3 = _log_sum(tab.logd[owner] + slog[owner] + tab.logd_red[inner] + blog[inner])
+    log2 = _log_sum(tab.logd[owner] + corners.logd_red[inner] + 2.0 * blog[inner])
+    log3 = _log_sum(tab.logd[owner] + slog[owner] + corners.logd_red[inner] + blog[inner])
     dsign, dlog = _signed_diff(ssign[parent], slog[parent], bsign, blog)
-    terms = tab.logd[parent] + tab.logd_red + 2.0 * dlog
+    terms = tab.logd[parent] + corners.logd_red + 2.0 * dlog
     kept = dsign != 0
     log4 = _log_sum(terms[kept & (~low | high_t)[parent]])
     parts = tuple(math.exp(v) for v in (log1, log2, log3, log4))
     return _log_sum(terms[kept]), parts
 
 
-def corner_l2(tab, chain, t):
+def corner_l2(tab, corners, chain, t):
     """(1/2) sqrt of the sum over non-trivial blocks of mult * |eig|^(2t)."""
     if chain == "rt":
         log_terms = 2.0 * tab.logd + _signed_pow(tab.s_sign, tab.s_log, 2 * t)[1]
     else:
-        blog = _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][tab.sbar_idx]
-        log_terms = tab.logd[tab.parent] + tab.logd_red + blog
+        blog = _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][corners.sbar_idx]
+        log_terms = tab.logd[corners.parent] + corners.logd_red + blog
     # the trivial block (n,) comes first and has a single corner
     return 0.5 * math.exp(0.5 * _log_sum(log_terms[1:]))

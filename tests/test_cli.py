@@ -236,6 +236,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "scipy" in sys.modules, "compare"
 """
 
+VERIFY_COLD = """
+import contextlib, io, sys
+from shuffle_spectra import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.run(["verify", "--n", "9"]) == 0
+assert "commutation;skip" in out.getvalue()
+assert "scipy" not in sys.modules, "verify --n 9"
+"""
+
 LAZY_IDENTITY = f"""
 import sys
 import shuffle_spectra
@@ -251,7 +260,11 @@ for name in {LAZY_EXPORTS!r}:
 class TestColdImport:
     """The package and the spectral-sum commands load no scipy; the exact engine does."""
 
-    @pytest.mark.parametrize("script", [COLD_START, LAZY_IDENTITY], ids=["cli", "lazy-names"])
+    @pytest.mark.parametrize(
+        "script",
+        [COLD_START, VERIFY_COLD, LAZY_IDENTITY],
+        ids=["cli", "verify-skips", "lazy-names"],
+    )
     def test_fresh_interpreter(self, script):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(

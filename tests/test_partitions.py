@@ -244,13 +244,13 @@ class TestDim:
         # the spectral table's log d and log d_corner against exact integers
         for n in (10, 20, 30):
             lams = enumerate_partitions(n)
-            tab = profiles._spectral_table(n)
+            tab, tab_corners = profiles._build_table(n)
             logd = [math.log(exact_dim(lam)) for lam in lams]
             logd_red = [
                 math.log(exact_dim(c.reduced)) for lam in lams for c in corners(lam)
             ]
             np.testing.assert_allclose(tab.logd, logd, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(tab.logd_red, logd_red, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(tab_corners.logd_red, logd_red, rtol=1e-9, atol=1e-9)
 
     def test_exact_cap(self):
         lam = (16,) * 2  # partition of 32

@@ -15,6 +15,10 @@ from corner_oracle import corner_l2, corner_sums
 from partition_oracle import iter_partitions
 
 
+# the oracle's per-corner columns come from the uncached build, once per n
+corner_table = functools.lru_cache(maxsize=3)(pr._build_table)
+
+
 def poisson_tv_oracle(mu1, mu2, terms=500):
     """Brute-force 500-term summation with recursive pmf terms."""
     p1 = math.exp(-mu1)
@@ -291,15 +295,15 @@ class TestComparisonBound:
     @pytest.mark.parametrize("n", [12, 33, 48])
     def test_keys_match_corner_oracle(self, n, c):
         # grouping corners by (s, j, sbar) reorders the sums, nothing else
-        tab = pr._spectral_table(n)
+        tab, corners = corner_table(n)
         t, t_star = pr.cutoff_times(n, c)
         for m in sorted({1, min(5, n // 2), n // 2}):
-            want_log, want_parts = corner_sums(tab, n, t, t_star, m)
+            want_log, want_parts = corner_sums(tab, corners, n, t, t_star, m)
             log_total, parts = pr._comparison_sums(n, t, t_star, m)
             assert math.exp(log_total) == pytest.approx(math.exp(want_log), rel=1e-12, abs=0.0)
             assert parts == pytest.approx(want_parts, rel=1e-12, abs=0.0)
         for chain, steps in (("rt", t), ("star", t_star)):
-            want = corner_l2(tab, chain, steps)
+            want = corner_l2(tab, corners, chain, steps)
             assert pr.l2_bound(chain, n, steps) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -431,18 +435,18 @@ def sign_of(x):
 class TestSpectralTable:
     @pytest.mark.parametrize("n", range(2, 23))
     def test_matches_scalar_construction(self, n):
-        tab = pr._spectral_table.__wrapped__(n)
+        tab, tab_corners = pr._build_table(n)
         rows, corners = scalar_table(n)
         counts = partition_counts(n)
         assert len(tab.lam1) == counts[n]
-        assert len(tab.parent) == sum(counts[n - k] for k in range(1, n + 1))
+        assert len(tab_corners.parent) == sum(counts[n - k] for k in range(1, n + 1))
         for name in ("lam1", "lam1_t"):
             assert getattr(tab, name).tolist() == rows[name]
         for name in ("parent", "sbar_idx"):
-            assert getattr(tab, name).tolist() == corners[name]
+            assert getattr(tab_corners, name).tolist() == corners[name]
         # the build subtracts the same logs in the same order as the scalar walk
         assert tab.logd.tolist() == rows["logd"]
-        assert tab.logd_red.tolist() == corners["logd_red"]
+        assert tab_corners.logd_red.tolist() == corners["logd_red"]
         s_exact = rows["s"]
         nonzero = np.array([s != 0 for s in s_exact])
         assert tab.s_sign[nonzero].tolist() == [sign_of(s) for s in s_exact if s]
@@ -451,7 +455,7 @@ class TestSpectralTable:
         )
         assert np.all(tab.s_log[~nonzero] == -math.inf)
         sbar = corners["sbar"]
-        idx = tab.sbar_idx
+        idx = tab_corners.sbar_idx
         assert tab.sbar_sign[idx].tolist() == [sign_of(v) for v in sbar]
         np.testing.assert_allclose(
             tab.sbar_log[idx], [math.log(abs(v)) if v else -math.inf for v in sbar], rtol=1e-12
@@ -501,58 +505,81 @@ class TestSpectralTable:
 
     @pytest.mark.parametrize("n", [48, 60])
     def test_sampled_corners_match_scalar_walk(self, n):
-        tab = pr._spectral_table.__wrapped__(n)
-        picks = set(np.random.default_rng(n).choice(len(tab.parent), 2000, replace=False).tolist())
-        want, got, k = [], [], 0
+        # 2,000 sampled corners' log d_corner and 2,000 sampled partitions' log d
+        tab, corners = pr._build_table(n)
+        rng = np.random.default_rng(n)
+        picks = set(rng.choice(len(corners.parent), 2000, replace=False).tolist())
+        rows = set(rng.choice(len(tab.logd), 2000, replace=False).tolist())
+        want, got, want_d, k = [], [], [], 0
         for idx, lam in enumerate(iter_partitions(n)):
+            if idx in rows:
+                want_d.append(scalar_log_dim(lam))
             for i, p in enumerate(lam):
                 if i + 1 < len(lam) and lam[i + 1] == p:
                     continue
                 if k in picks:
-                    assert tab.parent[k] == idx
+                    assert corners.parent[k] == idx
                     reduced = list(lam)
                     reduced[i] -= 1
                     want.append(scalar_log_dim(tuple(x for x in reduced if x)))
-                    got.append(tab.logd_red[k])
+                    got.append(corners.logd_red[k])
                 k += 1
-        assert k == len(tab.parent) and len(got) == 2000
+        assert k == len(corners.parent) and len(got) == 2000
         assert got == want
+        assert len(want_d) == 2000 and tab.logd[sorted(rows)].tolist() == want_d
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_corner_lifts_match_enumeration(self, n):
-        # lam - e_i + e_1 keeps the reduced shape lam - e_i, with its corner in row 1
+        # the level recursion against plain loops: hooks in box order, lam'_1,
+        # content sums, and per corner its partition, its row (by its sbar
+        # index lam_i - i + n - 2) and its lift lam - e_i + e_1, which keeps the
+        # reduced shape lam - e_i, with its corner in row 1
         parts = list(iter_partitions(n))
         index = {lam: idx for idx, lam in enumerate(parts)}
-        flat = np.array([p for lam in parts for p in lam])
-        row = np.array([k for lam in parts for k in range(len(lam))])
-        r, f, lift = pr._corners(pr._rank_terms(n)[1], flat, row)
-        want_r, want_i, want_lift = [], [], []
+        want = {name: [] for name in ("hooks", "lam1_t", "sums", "parent", "sbar", "lift")}
         for idx, lam in enumerate(parts):
+            cols = [sum(1 for p in lam if p > j) for j in range(lam[0])]
+            boxes = [(i, j) for i, p in enumerate(lam) for j in range(p)]
+            want["hooks"].append([lam[i] - j + cols[j] - i - 1 for i, j in boxes])
+            want["lam1_t"].append(len(lam))
+            want["sums"].append(sum(j - i for i, j in boxes) + n * (n - 1) // 2)
             for i, p in enumerate(lam):
                 if i + 1 < len(lam) and lam[i + 1] == p:
                     continue
                 moved = list(lam)
                 moved[i] -= 1
                 moved[0] += 1
-                want_r.append(idx)
-                want_i.append(i)
-                want_lift.append(index[tuple(x for x in moved if x)])
-        assert r.tolist() == want_r and row[f].tolist() == want_i
-        assert lift.tolist() == want_lift
+                want["parent"].append(idx)
+                want["sbar"].append(p - i + n - 2)
+                want["lift"].append(index[tuple(x for x in moved if x)])
+        got = {name: [] for name in want}
+        for lo, hooks, lam1_t, sums, counts, lift, sbar in pr._partition_rows(n):
+            assert lo == len(got["hooks"])
+            got["hooks"] += hooks.tolist()
+            got["lam1_t"] += lam1_t.tolist()
+            got["sums"] += sums.tolist()
+            got["parent"] += np.repeat(np.arange(lo, lo + len(hooks)), counts).tolist()
+            got["sbar"] += sbar.tolist()
+            got["lift"] += lift.tolist()
+        assert got == want
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries(self, monkeypatch, chunk):
         # the key weights too: np.add.at sums in table order in any chunking
-        want = pr._spectral_table.__wrapped__(20)
+        want = pr._build_table(20)
         monkeypatch.setattr(pr, "_TABLE_CHUNK", chunk)
         monkeypatch.setattr(pr, "_KEY_CHUNK", chunk)
-        got = pr._spectral_table.__wrapped__(20)
-        for name, column in zip(want._fields, got):
-            expected = getattr(want, name)
-            assert column.dtype == expected.dtype, name
-            assert np.array_equal(column, expected), name
+        got = pr._build_table(20)
+        for want_part, got_part in zip(want, got):
+            for name, column in zip(want_part._fields, got_part):
+                expected = getattr(want_part, name)
+                assert column.dtype == expected.dtype, name
+                assert np.array_equal(column, expected), name
 
     def test_columns_are_read_only(self):
         tab = pr._spectral_table(9)
         assert {"sum_log", "pkey_logw", "key_logw"} <= set(tab._fields)
+        # the cache keeps no per-corner column; the uncached build returns them
+        assert not {"parent", "logd_red", "sbar_idx"} & set(tab._fields)
         assert not any(column.flags.writeable for column in tab)
+        assert not any(column.flags.writeable for part in pr._build_table(9) for column in part)
