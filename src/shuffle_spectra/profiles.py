@@ -186,19 +186,8 @@ _SpectralTable = namedtuple(
     "lam1 lam1_t logd s_sign s_log sbar_sign sbar_log"
     " sum_sign sum_log pkey_sum pkey_j pkey_logw key_sum key_j key_sbar key_logw",
 )
-_Corners = namedtuple("_Corners", "parent logd_red sbar_idx")
-_TABLE_CHUNK = 8192  # partitions per batch of the level recursion and the log pass
-_KEY_CHUNK = 1 << 16  # corners per block of the key grouping
+_TABLE_CHUNK = 8192  # partitions per batch of the level recursion, and so of corner arrays
 _CODE = 256  # a corner's code: lift * _CODE + sbar index (< 2n - 1); int32 to n = 75
-
-
-def _log_dims(start, boxes):
-    """start (log n!) less the log of each partition's hooks, in a scalar walk's
-    box order; boxes holds one row per box, one column per partition."""
-    acc = start.copy()
-    for hooks in boxes:
-        acc -= _LOG_INT.take(hooks)
-    return acc
 
 
 def _partition_rows(n):
@@ -214,12 +203,12 @@ def _partition_rows(n):
     lift, the table index of lam - e_i + e_1. So a level is a few gathers from
     lower ones. Only entries that later levels read as tails are stored (first
     part at most (n - k) / 2): lam's hooks, right-aligned, so tau's already sit
-    in e's last columns, and e's content sum and corners.
+    in e's last columns, and e's corners.
 
     Yields per batch of _TABLE_CHUNK partitions (the last may be shorter): the
-    index of its first partition, the hooks (int8, n columns), lam'_1, content
-    sums (from 0), and the corners in row order: their number per partition,
-    their lifts and their sbar indices lam_i - i + n - 2.
+    index of its first partition, the hooks (int8, n columns), and the corners
+    in row order: their number per partition, their lifts and their sbar
+    indices lam_i - i + n - 2.
     """
     first, tail, off = _source(n)
     at_most = count_table(n)
@@ -235,17 +224,16 @@ def _partition_rows(n):
     below[1:] = at_most
     k, g = level[:, None], np.arange(n + 1)
     step = off[k] - below[g, k - 1] - off[np.maximum(k - g, 0)]
-    # per (level, first part) of e, at kf = k (n + 1) + f: its content sum over
-    # tau's and its corners' codes over tau's, one row lower; and the code of
-    # its row-0 corner less tau * _CODE, sbar index f + n - 2 (f >= 1)
+    # per (level, first part) of e, at kf = k (n + 1) + f: its corners' codes
+    # over tau's, one row lower; and the code of its row-0 corner less
+    # tau * _CODE, sbar index f + n - 2 (f >= 1)
     most = (math.isqrt(8 * n - 7) - 1) // 2  # corners of a partition of n - 1
-    plan = np.zeros((n * (n + 1), 2 + most), np.int32)
-    plan[:, 0] = (g * (g + 1) // 2 - k).ravel()
-    plan[:, 2:] = (step * _CODE - 1).reshape(-1, 1)
+    plan = np.zeros((n * (n + 1), 1 + most), np.int32)
+    plan[:, 1:] = (step * _CODE - 1).reshape(-1, 1)
     front = (step[:, g - 1] * _CODE + g + n - 2).ravel()
     # a stored row: hooks (n bytes, padded to whole int32s), then as int32 the
-    # content sum, the number of corners and their codes, right-aligned
-    pad, width = -(-n // 4), -(-n // 4) + 2 + most
+    # number of corners and their codes, right-aligned
+    pad, width = -(-n // 4), -(-n // 4) + 1 + most
     store = np.zeros((start[n], 4 * width), np.int8)
     store[0, :n] = np.arange(n, 0, -1)  # lam = (n) of the empty partition, level 0's tail
     hook_column, corner_column = np.arange(n, dtype=np.int8), np.arange(most + 1)
@@ -269,12 +257,12 @@ def _partition_rows(n):
         lead = hook_column[:n // 2] + (lev - n).astype(np.int8)[:, None] - box[:, :n // 2]
         grows = f > first[t]  # e's row 0 is a corner
         add = plan[kf]
-        add[:, 1] = grows
+        add[:, 0] = grows
         grow = grows.nonzero()[0]
         grow_code = t[grow] * _CODE + front[kf[grow]]
         gptr = np.searchsorted(grow, np.array(edge) - lo).tolist()
         # flat int32 positions of a growing row's number of corners and list end
-        grow_count, grow_end = grow * width + pad + 1, (grow + 1) * width
+        grow_count, grow_end = grow * width + pad, (grow + 1) * width
         rows = np.empty((hi - lo, 4 * width), np.int8)
         flat = rows.view(np.int32).reshape(-1)
         hooks, c = rows[:, :n], flat.reshape(hi - lo, width)[:, pad:]
@@ -294,79 +282,61 @@ def _partition_rows(n):
         # whose sbar index is 2n - 2 - k
         top = f < n - lev
         lam = np.empty((hi - lo, most + 1), np.int32)
-        lam[:, 1:] = c[:, 2:] - 1
+        lam[:, 1:] = c[:, 1:] - 1
         r = top.nonzero()[0]
-        lam.reshape(-1)[r * (most + 1) + most - c[r, 1]] = (r + lo) * _CODE + 2 * n - 2 - lev[r]
-        count = c[:, 1] + top
+        lam.reshape(-1)[r * (most + 1) + most - c[r, 0]] = (r + lo) * _CODE + 2 * n - 2 - lev[r]
+        count = c[:, 0] + top
         lift, sbar = np.divmod(lam[corner_column >= most + 1 - count[:, None]], _CODE)
-        # lam's content sum adds (n - k)(n - k - 1) / 2 - k; its hook at (0, 0)
-        # is lam_1 + lam'_1 - 1
-        sums = c[:, 0] + ((n - lev) * (n - lev - 1) // 2 - lev + n * (n - 1) // 2)
-        yield lo, hooks, hooks[:, 0] + 1 - n + lev, sums, count, lift, sbar
+        yield lo, hooks, count, lift, sbar
 
 
-def _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx):
-    """Partition keys (content sum, min(n - lam_1, n // 2)) with log sum d^2 and
-    corner keys (content sum, j, sbar index), j = min(n - lam_1, n - lam'_1, n // 2),
-    with log sum d d_corner, in ascending order: the trivial block's keys come
-    last. Every weight is summed as d^2 / n! or d d_corner / n!, in [1/n!, 1], by
-    np.add.at in table order, which gives the same bits in any chunking. Corner
-    keys are accumulated densely over compact ids of the (content sum, j) cells
-    in use and every sbar index, and no per-corner array outlives a chunk of
-    _KEY_CHUNK corners."""
-    log_fact, width, span = math.lgamma(n + 1), 2 * n - 1, n // 2 + 1
-    grid = (n * (n - 1) + 1) * span  # every content sum, every j
-    pw, used = np.zeros(grid), np.zeros(grid, bool)
-    cell = np.empty(len(sums), np.int32)  # the grid cell of each partition's corner keys
-    for k in range(0, len(sums), _KEY_CHUNK):
-        rs = slice(k, k + _KEY_CHUNK)
-        jp = np.minimum(n - lam1[rs], span - 1)
-        np.add.at(pw, sums[rs] * span + jp, np.exp(2.0 * logd[rs] - log_fact))
-        cell[rs] = sums[rs] * span + np.minimum(jp, n - lam1_t[rs])
-    used[cell] = True
-    pair = (np.cumsum(used, dtype=np.int32) - 1)[cell]
-    del cell
-    cw = np.zeros(np.count_nonzero(used) * width)
-    for k in range(0, len(parent), _KEY_CHUNK):
-        p, cs = parent[k : k + _KEY_CHUNK], slice(k, k + _KEY_CHUNK)
-        np.add.at(cw, pair[p] * width + sbar_idx[cs], np.exp(logd[p] + logd_red[cs] - log_fact))
-    pk, ck = np.flatnonzero(pw), np.flatnonzero(cw)
-    cell = np.flatnonzero(used)[ck // width]
-    return (
-        *divmod(pk, span), np.log(pw[pk]) + log_fact,
-        *divmod(cell, span), ck % width, np.log(cw[ck]) + log_fact,
-    )
+def _content_sums(n):
+    """Content sum (from 0) and lam'_1 of every partition of n in table order,
+    by one walk over the levels of _source(n). Entry e = (f, tau) of level k
+    has content sum C(f, 2) + cs(tau) - |tau| and one part more than tau, and
+    lam = (n - k, e) adds C(n - k, 2) - k and one part more than e."""
+    first, tail, off = _source(n)
+    rise = np.arange(n + 1) * np.arange(1, n + 2) // 2  # C(f, 2) + f
+    sums, lam1_t = np.zeros(off[n], np.int32), np.ones(off[n], np.int32)
+    for k in range(1, n):
+        level, t = slice(off[k], off[k + 1]), tail[off[k]:off[k + 1]]
+        sums[level] = rise.take(first[level]) - k + sums.take(t)
+        lam1_t[level] = lam1_t.take(t) + 1
+    k = np.arange(n)
+    sums += np.repeat((n - k) * (n - k - 1) // 2 - k + n * (n - 1) // 2, np.diff(off))
+    return sums, lam1_t
 
 
-def _build_table(n):
-    """The spectral table of n and its per-corner columns, uncached.
-
-    Read-only columns: per partition of n (enumeration order) lam_1, lam'_1,
-    log d, sign and log|s|; the 2n - 1 values of sbar = (p - i)/n in sbar_sign
-    and sbar_log; sign and log|s| by content sum (sum_sign, sum_log); and the
-    keys the sums run over (_group_keys): per partition key its content sum, j
-    and log sum d^2 (pkey_*), per corner key its content sum, j, sbar index and
-    log sum d d_corner (key_*). Per corner (row order): parent index,
-    log d_corner and sbar index. Partitions and corners come from the level
-    recursion (_partition_rows); s is looked up by the content sum, which takes
-    one of 2 C(n, 2) + 1 values. Each partition mu of n - 1 is lam - e_1 for
-    one lam with lam_1 > lam_2: its log d, from lam's hooks less one in row 1,
-    is stored at lam's index, and lam's corner i reads it at the corner's lift,
-    the index of lam - e_i + e_1.
-    """
+@lru_cache(maxsize=1)
+def _spectral_table(n):
+    """The spectral table of n, in read-only columns: per partition of n, in
+    table order, lam_1, lam'_1, log d and s (sign and log); sbar = (p - i)/n
+    by index (sbar_*) and s by content sum (sum_*); and, ascending, so the
+    trivial block's come last, the log sum of d^2 per partition key (content
+    sum, min(n - lam_1, n // 2)) (pkey_*) and of d d_corner per corner key
+    (content sum, j, sbar index), j = min(n - lam_1, n - lam'_1, n // 2)
+    (key_*). The (content sum, j) cells in use are numbered first, so each
+    batch of _partition_rows adds its corners' d d_corner / n! to their keys
+    by np.add.at in table order (the same bits in any batching). Each mu of
+    n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its log d, from lam's
+    hooks less one in row 1, is stored at lam's index, and each corner reads
+    it at its lift lam - e_i + e_1, never a later partition. Only the latest
+    n is kept: callers evaluate one n at several times."""
     first, _, off = _source(n)
     lam1 = np.repeat(np.arange(n, 0, -1, dtype=np.int32), np.diff(off))
-    lam1_t, sums = np.empty(off[n], np.int32), np.empty(off[n], np.int32)
+    sums, lam1_t = _content_sums(n)
+    log_fact, log_red, cn2 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2
+    width, span = 2 * n - 1, n // 2 + 1
+    jp = np.minimum(n - lam1, span - 1)
+    pcell = sums * span + jp  # over every content sum and every j
+    pair = pcell - jp + np.minimum(jp, n - lam1_t)  # the cell of lam's corner keys
+    used = np.zeros((2 * cn2 + 1) * span, bool)
+    used[pair] = True
+    pair = (np.cumsum(used, dtype=np.int32) - 1)[pair]  # its compact id
+    cw = np.zeros(np.count_nonzero(used) * width)
     logd, logd_mu = np.empty(off[n]), np.empty(off[n])  # log d(lam - e_1) at lam
-    counts = np.empty(off[n], np.int8)
-    # a corner is a distinct part, and p(n - k) partitions of n have a part k
-    size = count_table(n)[n, :n].sum()
-    lift, sbar_idx = np.empty(size, np.int32), np.empty(size, np.uint16)
-    log_fact, log_red, cn2, c0 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2, 0
-    for lo, hooks, cols, batch_sums, batch_counts, lifts, sbar in _partition_rows(n):
-        hi, cs = lo + len(hooks), slice(c0, c0 + len(lifts))
-        lam1_t[lo:hi], sums[lo:hi], counts[lo:hi] = cols, batch_sums, batch_counts
-        lift[cs], sbar_idx[cs] = lifts, sbar
+    for lo, hooks, counts, lift, sbar_idx in _partition_rows(n):
+        hi = lo + len(hooks)
         # log d of each lam, and of lam - e_1 where lam_1 > lam_2: row 1 less
         # one before its corner
         top = np.flatnonzero(lam1[lo:hi] > first[lo:hi])
@@ -374,12 +344,16 @@ def _build_table(n):
         boxes[:, :len(hooks)] = hooks.T
         boxes[:, len(hooks):] = hooks[top].T
         boxes[:, len(hooks):] -= np.arange(n)[:, None] + 1 < lam1[lo:hi][top]
-        logs = _log_dims(np.repeat([log_fact, log_red], [len(hooks), len(top)]), boxes)
+        logs = np.repeat([log_fact, log_red], [len(hooks), len(top)])
+        for box in boxes:  # in a scalar walk's box order
+            logs -= _LOG_INT.take(box)
         logd[lo:hi], logd_mu[top + lo] = logs[:len(hooks)], logs[len(hooks):]
-        c0 = cs.stop
-    logd_red = logd_mu[lift]
-    del lift, logd_mu  # free them before the grouping allocates
-    parent = np.repeat(np.arange(off[n], dtype=np.int32), counts)
+        weight = np.exp(np.repeat(logd[lo:hi], counts) + logd_mu[lift] - log_fact)
+        np.add.at(cw, np.repeat(pair[lo:hi], counts) * width + sbar_idx, weight)
+    pw = np.zeros(len(used))
+    np.add.at(pw, pcell, np.exp(2.0 * logd - log_fact))
+    pk, ck = np.flatnonzero(pw), np.flatnonzero(cw)
+    cell = np.flatnonzero(used)[ck // width]
     # s of every content sum in [-cn2, cn2], the one float expression per value;
     # s = 0 exactly where 2 * content = -n, which that expression leaves as a residue
     content = np.arange(-cn2, cn2 + 1)
@@ -387,23 +361,15 @@ def _build_table(n):
     s_of_num[2 * content == -n] = 0.0
     sign_of_num, log_of_num = _signs_and_logs(s_of_num.tolist())
     sbar = _signs_and_logs([v / n for v in range(2 - n, n + 1)])
-    keys = _group_keys(n, sums, lam1, lam1_t, logd, parent, logd_red, sbar_idx)
     table = _SpectralTable(
         lam1, lam1_t, logd, sign_of_num[sums], log_of_num[sums], *sbar,
-        sign_of_num, log_of_num, *keys,
+        sign_of_num, log_of_num,
+        *divmod(pk, span), np.log(pw[pk]) + log_fact,
+        *divmod(cell, span), ck % width, np.log(cw[ck]) + log_fact,
     )
-    corners = _Corners(parent, logd_red, sbar_idx)
-    for column in table + corners:
+    for column in table:
         column.flags.writeable = False
-    return table, corners
-
-
-@lru_cache(maxsize=1)
-def _spectral_table(n):
-    """The table of _build_table(n), without the per-corner columns, which no
-    sum reads: 5.6 MB at n = 48 and 29 MB at n = 60. Only the latest n is
-    kept: callers evaluate one n at several times."""
-    return _build_table(n)[0]
+    return table
 
 
 def _check_bound_n(n):

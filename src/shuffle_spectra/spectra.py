@@ -89,20 +89,23 @@ def star_eigenvalues(parts):
 
 def _rows(chain, n):
     """(partition, eigenvalue, multiplicity) of every block of chain at n, in
-    enumeration order; star lists a partition's corners in row order."""
+    enumeration order; star lists a partition's corners in row order. Each
+    dimension, of a partition of n or of n - 1, is computed once."""
     if chain not in CHAINS:
         raise ValueError(f"chain must be one of {CHAINS}, got {chain!r}")
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > EXACT_DIM_CAP:
         raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
+    if chain == "star":
+        dims_red = {mu: exact_dim(mu) for mu in enumerate_partitions(n - 1)}
     for lam in enumerate_partitions(n):
+        d = exact_dim(lam)
         if chain == "rt":
-            e = rt_eigenvalue(lam)
-            yield lam, e.s, e.mult
+            yield lam, rt_eigenvalue(lam).s, d * d
         else:
             for e in star_eigenvalues(lam):
-                yield lam, e.s_bar, e.mult
+                yield lam, e.s_bar, d * dims_red[e.reduced]
 
 
 def spectrum_trace(chain, n):

@@ -1,10 +1,38 @@
-"""The comparison sums and l2 bounds evaluated corner by corner over the
-per-corner columns of the uncached table build (profiles._build_table), the
-tests' oracle for the library's evaluation over grouped keys."""
+"""The comparison sums and l2 bounds evaluated corner by corner, the tests'
+oracle for the library's evaluation over grouped keys, and the per-corner
+columns they run over, which the library never holds whole."""
 
 import math
+from collections import namedtuple
 
+import numpy as np
+
+from shuffle_spectra import profiles
+from shuffle_spectra.partitions import _source
 from shuffle_spectra.profiles import _log_sum, _signed_diff, _signed_pow
+
+Corners = namedtuple("Corners", "parent logd_red sbar_idx")
+
+
+def corner_columns(n):
+    """Per corner of every partition of n, in table order: the partition's
+    index, log d_corner and the sbar index. Lifts and sbar indices come from
+    the level recursion (profiles._partition_rows); log d_corner from the
+    uncached table of n - 1. lam - e_i is mu = lift - e_1, and lam -> lam - e_1
+    keeps reverse-lex order, so mu's index is the lift's rank among the lam
+    with lam_1 > lam_2."""
+    counts, lifts, sbar_idx = [], [], []
+    for _, _, count, lift, sbar in profiles._partition_rows(n):
+        counts.append(count)
+        lifts.append(lift)
+        sbar_idx.append(sbar)
+    first, _, off = _source(n)
+    lam1 = np.repeat(np.arange(n, 0, -1), np.diff(off))
+    rank = np.cumsum(lam1 > first) - 1
+    # the one partition of 1 has d = 1, and the table starts at n = 2
+    logd_mu = np.zeros(1) if n == 2 else profiles._spectral_table.__wrapped__(n - 1).logd
+    parent = np.repeat(np.arange(off[n]), np.concatenate(counts))
+    return Corners(parent, logd_mu[rank[np.concatenate(lifts)]], np.concatenate(sbar_idx))
 
 
 def corner_sums(tab, corners, n, t, t_star, truncation_m):

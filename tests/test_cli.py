@@ -322,9 +322,23 @@ class TestOutputModes:
 
 # Exact stdout recorded before the comparison sums were merged into one pass
 # (the spectrum and verify --n 13 entries: before the dimension helpers were
-# folded into exact_dim); any change to these bytes is a change to the
-# program's output.
+# folded into exact_dim; the n = 48 and n = 60 entries, the sizes the benchmark
+# and CI run: before the table build became one pass); any change to these
+# bytes is a change to the program's output.
 GOLDEN = {
+    "bound --n 60 --c -1": (
+        "n;c;t;tstar;total;term1;term2;term3;term4\n"
+        "60;-1;94;186;1.87475962459;24.8289921621;42.5524533165;30.0179268058;6.77313528313\n"
+    ),
+    "bound --n 48 --c 0.5 --M 3": (
+        "n;c;t;tstar;total;term1;term2;term3;term4\n"
+        "48;0.5;106;210;0.0523578370595;0.00179914961366;0.00258448700607;"
+        "0.00196625818821;0.0106579235155\n"
+    ),
+    "decompose --n 48 --c 0 --M 5": (
+        "n;c;M;term1;term2;term3;term4\n"
+        "48;0;5;0.000783784128888;0.000442266935148;0.00028838133611;0.0473561279345\n"
+    ),
     "bound --n 30 --c -1": (
         "n;c;t;tstar;total;term1;term2;term3;term4\n"
         "30;-1;36;72;1.47096945818;6.4255928271;6.97871864076;5.50438575447;6.38402993299\n"

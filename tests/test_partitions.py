@@ -19,6 +19,7 @@ from shuffle_spectra.partitions import (
     transpose,
 )
 
+from corner_oracle import corner_columns
 from partition_oracle import iter_partitions
 
 
@@ -244,7 +245,7 @@ class TestDim:
         # the spectral table's log d and log d_corner against exact integers
         for n in (10, 20, 30):
             lams = enumerate_partitions(n)
-            tab, tab_corners = profiles._build_table(n)
+            tab, tab_corners = profiles._spectral_table(n), corner_columns(n)
             logd = [math.log(exact_dim(lam)) for lam in lams]
             logd_red = [
                 math.log(exact_dim(c.reduced)) for lam in lams for c in corners(lam)

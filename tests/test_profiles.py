@@ -11,12 +11,12 @@ from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, exact_dim
 
-from corner_oracle import corner_l2, corner_sums
+from corner_oracle import corner_columns, corner_l2, corner_sums
 from partition_oracle import iter_partitions
 
 
-# the oracle's per-corner columns come from the uncached build, once per n
-corner_table = functools.lru_cache(maxsize=3)(pr._build_table)
+# the oracle's per-corner columns, built once per n
+corner_table = functools.lru_cache(maxsize=3)(corner_columns)
 
 
 def poisson_tv_oracle(mu1, mu2, terms=500):
@@ -295,7 +295,7 @@ class TestComparisonBound:
     @pytest.mark.parametrize("n", [12, 33, 48])
     def test_keys_match_corner_oracle(self, n, c):
         # grouping corners by (s, j, sbar) reorders the sums, nothing else
-        tab, corners = corner_table(n)
+        tab, corners = pr._spectral_table(n), corner_table(n)
         t, t_star = pr.cutoff_times(n, c)
         for m in sorted({1, min(5, n // 2), n // 2}):
             want_log, want_parts = corner_sums(tab, corners, n, t, t_star, m)
@@ -435,7 +435,7 @@ def sign_of(x):
 class TestSpectralTable:
     @pytest.mark.parametrize("n", range(2, 23))
     def test_matches_scalar_construction(self, n):
-        tab, tab_corners = pr._build_table(n)
+        tab, tab_corners = pr._spectral_table(n), corner_table(n)
         rows, corners = scalar_table(n)
         counts = partition_counts(n)
         assert len(tab.lam1) == counts[n]
@@ -503,10 +503,35 @@ class TestSpectralTable:
         for got, weight, keys in ((tab.pkey_logw, pweight, pkeys), (tab.key_logw, cweight, ckeys)):
             np.testing.assert_allclose(got, [math.log(weight[k]) for k in keys], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [*range(2, 31), 48])
+    def test_key_weights_are_sums_in_table_order(self, n):
+        # each key's weight is np.add.at over its corners' d d_corner / n! (its
+        # partitions' d^2 / n!) in table order, to the bit
+        tab, corners = pr._spectral_table(n), corner_table(n)
+        sums, _ = pr._content_sums(n)
+        log_fact, span, width = math.lgamma(n + 1), n // 2 + 1, 2 * n - 1
+
+        def grouped(code, log_weight):
+            keys, inverse = np.unique(code, return_inverse=True)
+            acc = np.zeros(len(keys))
+            np.add.at(acc, inverse, np.exp(log_weight - log_fact))
+            return keys, np.log(acc) + log_fact
+
+        jp = np.minimum(n - tab.lam1, span - 1)
+        keys, logw = grouped(sums * span + jp, 2.0 * tab.logd)
+        assert np.array_equal(tab.pkey_sum * span + tab.pkey_j, keys)
+        assert np.array_equal(tab.pkey_logw, logw)
+        cell, parent = sums * span + np.minimum(jp, n - tab.lam1_t), corners.parent
+        keys, logw = grouped(
+            cell[parent] * width + corners.sbar_idx, tab.logd[parent] + corners.logd_red
+        )
+        assert np.array_equal((tab.key_sum * span + tab.key_j) * width + tab.key_sbar, keys)
+        assert np.array_equal(tab.key_logw, logw)
+
     @pytest.mark.parametrize("n", [48, 60])
     def test_sampled_corners_match_scalar_walk(self, n):
         # 2,000 sampled corners' log d_corner and 2,000 sampled partitions' log d
-        tab, corners = pr._build_table(n)
+        tab, corners = pr._spectral_table(n), corner_table(n)
         rng = np.random.default_rng(n)
         picks = set(rng.choice(len(corners.parent), 2000, replace=False).tolist())
         rows = set(rng.choice(len(tab.logd), 2000, replace=False).tolist())
@@ -530,10 +555,10 @@ class TestSpectralTable:
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_corner_lifts_match_enumeration(self, n):
-        # the level recursion against plain loops: hooks in box order, lam'_1,
-        # content sums, and per corner its partition, its row (by its sbar
-        # index lam_i - i + n - 2) and its lift lam - e_i + e_1, which keeps the
-        # reduced shape lam - e_i, with its corner in row 1
+        # the level recursion against plain loops: hooks in box order, and per
+        # corner its partition, its row (by its sbar index lam_i - i + n - 2)
+        # and its lift lam - e_i + e_1, which keeps the reduced shape lam - e_i,
+        # with its corner in row 1; the level walk's lam'_1 and content sums
         parts = list(iter_partitions(n))
         index = {lam: idx for idx, lam in enumerate(parts)}
         want = {name: [] for name in ("hooks", "lam1_t", "sums", "parent", "sbar", "lift")}
@@ -553,33 +578,30 @@ class TestSpectralTable:
                 want["sbar"].append(p - i + n - 2)
                 want["lift"].append(index[tuple(x for x in moved if x)])
         got = {name: [] for name in want}
-        for lo, hooks, lam1_t, sums, counts, lift, sbar in pr._partition_rows(n):
+        for lo, hooks, counts, lift, sbar in pr._partition_rows(n):
             assert lo == len(got["hooks"])
             got["hooks"] += hooks.tolist()
-            got["lam1_t"] += lam1_t.tolist()
-            got["sums"] += sums.tolist()
             got["parent"] += np.repeat(np.arange(lo, lo + len(hooks)), counts).tolist()
             got["sbar"] += sbar.tolist()
             got["lift"] += lift.tolist()
+        sums, lam1_t = pr._content_sums(n)
+        got["sums"], got["lam1_t"] = sums.tolist(), lam1_t.tolist()
         assert got == want
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # the key weights too: np.add.at sums in table order in any chunking
-        want = pr._build_table(20)
+        # the key weights too: np.add.at sums in table order in any batching
+        want = pr._spectral_table.__wrapped__(20)
         monkeypatch.setattr(pr, "_TABLE_CHUNK", chunk)
-        monkeypatch.setattr(pr, "_KEY_CHUNK", chunk)
-        got = pr._build_table(20)
-        for want_part, got_part in zip(want, got):
-            for name, column in zip(want_part._fields, got_part):
-                expected = getattr(want_part, name)
-                assert column.dtype == expected.dtype, name
-                assert np.array_equal(column, expected), name
+        got = pr._spectral_table.__wrapped__(20)
+        for name, column in zip(want._fields, got):
+            expected = getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert np.array_equal(column, expected), name
 
     def test_columns_are_read_only(self):
         tab = pr._spectral_table(9)
         assert {"sum_log", "pkey_logw", "key_logw"} <= set(tab._fields)
-        # the cache keeps no per-corner column; the uncached build returns them
+        # the table holds no per-corner column
         assert not {"parent", "logd_red", "sbar_idx"} & set(tab._fields)
         assert not any(column.flags.writeable for column in tab)
-        assert not any(column.flags.writeable for part in pr._build_table(9) for column in part)
