@@ -9,8 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import profiles, spectra
-from .partitions import EXACT_DIM_CAP, corners, enumerate_partitions, exact_dim, transpose
-from .partitions import MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N
+from .partitions import EXACT_DIM_CAP, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N
 
 SEP = ";"
 
@@ -100,44 +99,36 @@ def _verify_checks(n):
 
     Only the checks that build matrices import exact_chain, and with it scipy.
     """
-    lams = enumerate_partitions(n)
-    dims = {lam: exact_dim(lam) for lam in lams}
-    # every corner's reduced shape is a partition of n - 1
-    dims_red = {mu: exact_dim(mu) for mu in enumerate_partitions(n - 1)}
+    blocks = spectra.blocks(n)
+    # each corner's d_corner and s_bar by (partition, row), for the transpose pairings
+    d_corner = {(lam, row): d_c for lam, _, _, _, cs in blocks for row, d_c, _ in cs}
+    s_bar = {(lam, row): sb for lam, _, _, _, cs in blocks for row, _, sb in cs}
+    s_of = {lam: s for lam, _, _, s, _ in blocks}
 
     def status(ok):
         return "pass" if ok else "fail"
 
     yield "dimension-squares-sum", status(
-        sum(d * d for d in dims.values()) == math.factorial(n)
+        sum(d * d for _, _, d, _, _ in blocks) == math.factorial(n)
     )
-    ok = all(
-        dims[lam] == sum(dims_red[c.reduced] for c in corners(lam)) for lam in lams
-    )
+    ok = all(d == sum(d_c for _, d_c, _ in cs) for _, _, d, _, cs in blocks)
     yield "branching-rule", status(ok)
-    ok = True
-    for lam in lams:
-        tr = transpose(lam)
-        for c in corners(lam):
-            if dims_red[c.reduced] != dims_red[
-                next(cc for cc in corners(tr) if cc.row == lam[c.row - 1]).reduced
-            ]:
-                ok = False
+    # corner row i of lam is corner row lam_i of lam'; a missing pair reads None
+    ok = all(
+        d_corner.get((lam_t, lam[row - 1])) == d_c
+        for lam, lam_t, _, _, cs in blocks for row, d_c, _ in cs
+    )
     yield "transpose-duality", status(ok)
     ok = all(
-        dims[lam] ** 2 <= math.comb(n, n - lam[0]) ** 2 * math.factorial(n - lam[0])
-        for lam in lams
+        d * d <= math.comb(n, n - lam[0]) ** 2 * math.factorial(n - lam[0])
+        for lam, _, d, _, _ in blocks
     )
     yield "dimension-bound", status(ok)
-    ok = True
-    for lam in lams:
-        j = n - lam[0]
-        for c in corners(lam):
-            if c.row > 1:
-                if n * dims_red[c.reduced] > 4**j * dims[lam]:
-                    ok = False
-                if not -j <= lam[c.row - 1] - c.row + 1 <= n - j:
-                    ok = False
+    # below the first row: n d_corner <= 4^j d and -j <= n s_bar <= n - j, j = n - lam_1
+    ok = all(
+        n * d_c <= 4 ** (n - lam[0]) * d and lam[0] - n <= n * sb <= lam[0]
+        for lam, _, d, _, cs in blocks for row, d_c, sb in cs if row > 1
+    )
     yield "corner-bounds", status(ok)
     for chain in spectra.CHAINS:
         yield f"completeness-{chain}", status(
@@ -151,16 +142,13 @@ def _verify_checks(n):
     else:
         yield "trace-rt", "skip"
         yield "trace-star", "skip"
-    ok = True
-    for lam in lams:
-        if spectra.rt_r(transpose(lam)) != -spectra.rt_r(lam):
-            ok = False
-        tr = transpose(lam)
-        for c in corners(lam):
-            r_bar = Fraction(lam[c.row - 1] - c.row, n - 1)
-            r_bar_t = Fraction(tr[lam[c.row - 1] - 1] - lam[c.row - 1], n - 1)
-            if r_bar_t != -r_bar:
-                ok = False
+    # s = 1/n + (n-1) r / n and s_bar = (lam_i - i + 1) / n, so r' = -r and
+    # r_bar' = -r_bar read s' + s = 2/n and s_bar' + s_bar = 2/n
+    two_n = Fraction(2, n)
+    ok = all(s_of.get(lam_t) == two_n - s for lam, lam_t, _, s, _ in blocks) and all(
+        s_bar.get((lam_t, lam[row - 1])) == two_n - sb
+        for lam, lam_t, _, _, cs in blocks for row, _, sb in cs
+    )
     yield "transpose-antisymmetry", status(ok)
     if n <= MAX_EXACT_PRODUCT_N:
         from . import exact_chain

@@ -25,11 +25,11 @@ class SizeLimitError(ValueError):
 
 def check_partition(parts):
     """Validate and normalize a partition to a tuple. Raises ValueError."""
-    parts = tuple(int(p) for p in parts)
-    for i, p in enumerate(parts):
+    parts = tuple(map(int, parts))
+    for p, q in zip(parts, parts[1:] + (1,)):  # q: the next part, 1 after the last
         if p < 1:
             raise ValueError(f"partition parts must be positive, got {p}")
-        if i + 1 < len(parts) and parts[i + 1] > p:
+        if q > p:
             raise ValueError(f"partition parts must be non-increasing: {parts}")
     return parts
 

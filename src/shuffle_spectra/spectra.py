@@ -7,6 +7,7 @@ of a partition of n (star transpositions). Eigenvalues are exact rationals.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .partitions import (
@@ -59,7 +60,8 @@ def rt_r(parts):
     n = sum(parts)
     if n < 2:
         raise ValueError("need a partition of n >= 2")
-    num = sum(comb(p, 2) for p in parts) - sum(comb(q, 2) for q in transpose(parts))
+    # the content sum: sum_i C(p_i, 2) less sum_j C(p'_j, 2), which is sum_i (i - 1) p_i
+    num = sum(comb(p, 2) - i * p for i, p in enumerate(parts))
     return Fraction(num, comb(n, 2))
 
 
@@ -87,39 +89,42 @@ def star_eigenvalues(parts):
     return out
 
 
-def _rows(chain, n):
-    """(partition, eigenvalue, multiplicity) of every block of chain at n, in
-    enumeration order; star lists a partition's corners in row order. Each
-    dimension, of a partition of n or of n - 1, is computed once."""
-    if chain not in CHAINS:
-        raise ValueError(f"chain must be one of {CHAINS}, got {chain!r}")
+@lru_cache(maxsize=1)
+def blocks(n):
+    """Every partition of n, in enumeration order, as (lam, lam_t, d, s, corners):
+    its transpose, exact dimension, random-transpositions eigenvalue, and one
+    (row, d_corner, s_bar) per removable corner in row order. Each dimension,
+    of a partition of n or of n - 1, is computed once. Read-only, as the cache
+    shares it."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > EXACT_DIM_CAP:
         raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
-    if chain == "star":
-        dims_red = {mu: exact_dim(mu) for mu in enumerate_partitions(n - 1)}
-    for lam in enumerate_partitions(n):
-        d = exact_dim(lam)
-        if chain == "rt":
-            yield lam, rt_eigenvalue(lam).s, d * d
-        else:
-            for e in star_eigenvalues(lam):
-                yield lam, e.s_bar, d * dims_red[e.reduced]
+    dims_red = {mu: exact_dim(mu) for mu in enumerate_partitions(n - 1)}
+    return tuple(
+        (lam, transpose(lam), exact_dim(lam), rt_eigenvalue(lam).s,
+         tuple((e.corner_row, dims_red[e.reduced], e.s_bar) for e in star_eigenvalues(lam)))
+        for lam in enumerate_partitions(n)
+    )
+
+
+def spectrum_rows(chain, n):
+    """(partition, eigenvalue, multiplicity) of every block of chain at n, in
+    enumeration order; star lists a partition's corners in row order."""
+    if chain not in CHAINS:
+        raise ValueError(f"chain must be one of {CHAINS}, got {chain!r}")
+    if chain == "rt":
+        return [(lam, s, d * d) for lam, _, d, s, _ in blocks(n)]
+    return [(lam, s_bar, d * d_c) for lam, _, d, _, cs in blocks(n) for _, d_c, s_bar in cs]
 
 
 def spectrum_trace(chain, n):
     """Exact rational sum of mult * eigenvalue; equals (n-1)! for both chains."""
     if not 2 <= n <= EXACT_TRACE_CAP:
         raise ValueError(f"exact trace limited to n in [2, {EXACT_TRACE_CAP}]")
-    return sum((mult * eig for _, eig, mult in _rows(chain, n)), Fraction(0))
+    return sum((mult * eig for _, eig, mult in spectrum_rows(chain, n)), Fraction(0))
 
 
 def total_multiplicity(chain, n):
     """Exact sum of multiplicities over all blocks; must equal n!."""
-    return sum(mult for _, _, mult in _rows(chain, n))
-
-
-def spectrum_rows(chain, n):
-    """Flat (partition, eigenvalue, multiplicity) rows for CSV export."""
-    return list(_rows(chain, n))
+    return sum(mult for _, _, mult in spectrum_rows(chain, n))

@@ -112,7 +112,7 @@ def test_criterion_05_formula_vs_numeric_spectra(capsys):
                     ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 300.0
-    _report(capsys, 5, "Jacobi spectra match formulas, n <= 6", ok, f"{elapsed:.0f}s")
+    _report(capsys, 5, "numeric spectra (eigvalsh) match formulas, n <= 6", ok, f"{elapsed:.0f}s")
 
 
 def test_criterion_06_commutation(capsys):

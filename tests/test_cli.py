@@ -1,13 +1,15 @@
 import errno
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from shuffle_spectra import cli, exact_chain, profiles
+from shuffle_spectra import cli, exact_chain, partitions, profiles, spectra
 
 
 def run_cli(argv, capsys):
@@ -136,6 +138,53 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", "6"], capsys)
         assert code == 0
         assert "spectrum-vs-numeric;skip" in out
+
+    # each edit changes the corner in row 2 of (5, 2, 1) at n = 8, and the
+    # checks that must then fail
+    @pytest.mark.parametrize(
+        "edit, broken",
+        [
+            (lambda c: ((c[0], c[1] + 1, c[2]),), {"branching-rule", "transpose-duality"}),
+            (lambda c: ((c[0], c[1], c[2] + Fraction(1, 8)),), {"transpose-antisymmetry"}),
+            (lambda c: (), {"branching-rule", "transpose-duality", "transpose-antisymmetry"}),
+        ],
+        ids=["d_corner-off-by-one", "s_bar-off-by-1/n", "corner-missing"],
+    )
+    def test_corrupted_blocks_fail(self, edit, broken, monkeypatch, capsys):
+        good = spectra.blocks(8)
+
+        def corrupted(n):
+            return tuple(
+                (lam, lam_t, d, s, cs[:1] + edit(cs[1]) + cs[2:] if lam == (5, 2, 1) else cs)
+                for lam, lam_t, d, s, cs in good
+            )
+
+        monkeypatch.setattr(spectra, "blocks", corrupted)
+        code = cli.run(["verify", "--n", "8"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out.startswith("check;status\n")
+        status = dict(line.split(";") for line in captured.out.splitlines()[1:])
+        assert len(status) == 13 and status["dimension-squares-sum"] == "pass"
+        assert broken <= {name for name, st in status.items() if st == "fail"}
+
+    def test_one_block_build_per_run(self, monkeypatch, capsys):
+        calls = []
+        exact_dim = partitions.exact_dim
+
+        def counted(parts):
+            calls.append(parts)
+            return exact_dim(parts)
+
+        for module in (partitions, spectra, cli):
+            if hasattr(module, "exact_dim"):
+                monkeypatch.setattr(module, "exact_dim", counted)
+        spectra.blocks.cache_clear()
+        misses = spectra.blocks.cache_info().misses
+        assert run_cli(["verify", "--n", "30"], capsys)[0] == 0
+        assert spectra.blocks.cache_info().misses == misses + 1
+        # one call per shape of n and n - 1: p(30) + p(29) = 5,604 + 4,565
+        assert len(calls) == len(set(calls)) == 10_169
 
 
 class TestBound:
@@ -323,8 +372,9 @@ class TestOutputModes:
 # Exact stdout recorded before the comparison sums were merged into one pass
 # (the spectrum and verify --n 13 entries: before the dimension helpers were
 # folded into exact_dim; the n = 48 and n = 60 entries, the sizes the benchmark
-# and CI run: before the table build became one pass); any change to these
-# bytes is a change to the program's output.
+# and CI run: before the table build became one pass; verify --n 30 and the
+# spectrum digests at n = 30, the exact cap: before spectra.blocks); any change
+# to these bytes is a change to the program's output.
 GOLDEN = {
     "bound --n 60 --c -1": (
         "n;c;t;tstar;total;term1;term2;term3;term4\n"
@@ -472,6 +522,13 @@ GOLDEN = {
         "comparison-inequality;skip\n"
     ),
 }
+GOLDEN["verify --n 30"] = GOLDEN["verify --n 13"]  # the same checks run and skip
+
+# chain: (lines, sha256) of spectrum --chain <chain> --n 30
+SPECTRUM_30 = {
+    "rt": (5605, "78a1f49c46d189ea45ebf321cd119253c527a7a1676f3a832665c82ab49d2335"),
+    "star": (23026, "1fcb74896e4c3e1e60678f021476f71246373991efea71bc10af2093c1cb6c4e"),
+}
 
 
 class TestGoldenBytes:
@@ -480,3 +537,10 @@ class TestGoldenBytes:
         code, out = run_cli(command.split(), capsys)
         assert code == 0
         assert out.encode() == GOLDEN[command].encode()
+
+    @pytest.mark.parametrize("chain", sorted(SPECTRUM_30))
+    def test_spectrum_at_exact_cap(self, chain, capsys):
+        code, out = run_cli(["spectrum", "--chain", chain, "--n", "30"], capsys)
+        lines, digest = SPECTRUM_30[chain]
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
