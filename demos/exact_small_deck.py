@@ -13,8 +13,8 @@ def main():
     star = ec.build_matrix("star", N)
     rt = ec.build_matrix("rt", N)
     print(f"S_{N}: {star.mat.shape[0]} states")
-    print(f"star matrix: {N} * P has integer entries, row sums {star.row_sums()[0]}")
-    print(f"rt matrix:   {N}^2 * Q has integer entries, row sums {rt.row_sums()[0]}")
+    print(f"star matrix: {N} * P has integer entries, row sums {star.mat.sum(axis=1)[0, 0]}")
+    print(f"rt matrix:   {N}^2 * Q has integer entries, row sums {rt.mat.sum(axis=1)[0, 0]}")
     print(f"both symmetric: {star.is_symmetric_exact()} {rt.is_symmetric_exact()}")
     print(f"exact commutation: {ec.exact_commutes(star, rt)}")
     skewed = ec.build_skewed_matrix(N)

@@ -39,9 +39,6 @@ class SparseScaledMatrix:
     def dense_float(self):
         return self.mat.toarray() / self.denom
 
-    def row_sums(self):
-        return np.asarray(self.mat.sum(axis=1)).ravel()
-
     def is_symmetric_exact(self):
         return (self.mat != self.mat.T).nnz == 0
 

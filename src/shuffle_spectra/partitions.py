@@ -119,10 +119,12 @@ def enumerate_partitions(n):
 
 def transpose(parts):
     """Conjugate diagram: column lengths of the Young diagram of parts."""
-    parts = check_partition(parts)
-    if not parts:
-        return ()
-    t = [0] * parts[0]
+    return _transpose(check_partition(parts))
+
+
+def _transpose(parts):
+    """transpose of a checked partition."""
+    t = [0] * (parts[0] if parts else 0)
     for p in parts:
         for j in range(p):
             t[j] += 1
@@ -132,13 +134,16 @@ def transpose(parts):
 def exact_dim(parts):
     """Exact SYT count via the hook length formula. Guarded at EXACT_DIM_CAP."""
     parts = check_partition(parts)
-    n = sum(parts)
-    if n > EXACT_DIM_CAP:
+    if sum(parts) > EXACT_DIM_CAP:
         raise SizeLimitError(f"exact dimension limited to n <= {EXACT_DIM_CAP}")
+    return _dim(parts, _transpose(parts))
+
+
+def _dim(parts, tr):
+    """exact_dim of a checked partition with transpose tr."""
     # box (i, j) has hook (p_i - j) + (p'_j - i) - 1
-    tr = transpose(parts)
     hook_product = math.prod(p - j + tr[j] - i - 1 for i, p in enumerate(parts) for j in range(p))
-    return math.factorial(n) // hook_product
+    return math.factorial(sum(parts)) // hook_product
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,11 @@ def corners(parts):
     parts = check_partition(parts)
     if not parts:
         raise ValueError("the empty partition has no corners")
+    return _corners(parts)
+
+
+def _corners(parts):
+    """corners of a checked nonempty partition."""
     out = []
     k = len(parts)
     for i, p in enumerate(parts):

@@ -13,11 +13,12 @@ from math import comb
 from .partitions import (
     EXACT_DIM_CAP,
     SizeLimitError,
+    _corners,
+    _dim,
+    _transpose,
     check_partition,
-    corners,
     enumerate_partitions,
     exact_dim,
-    transpose,
 )
 
 EXACT_TRACE_CAP = 12
@@ -54,58 +55,61 @@ class StarEig:
         return exact_dim(self.lam) * exact_dim(self.reduced)
 
 
-def rt_r(parts):
-    """The normalized character ratio r of the transposition class at parts."""
+def _checked(parts):
+    """check_partition, then the size of a partition of n >= 2."""
     parts = check_partition(parts)
     n = sum(parts)
     if n < 2:
         raise ValueError("need a partition of n >= 2")
-    # the content sum: sum_i C(p_i, 2) less sum_j C(p'_j, 2), which is sum_i (i - 1) p_i
-    num = sum(comb(p, 2) - i * p for i, p in enumerate(parts))
-    return Fraction(num, comb(n, 2))
+    return parts, n
+
+
+def rt_r(parts):
+    """The normalized character ratio r of the transposition class at parts."""
+    return _rt_eigenvalue(*_checked(parts)).r
 
 
 def rt_eigenvalue(parts):
     """Random-transpositions eigenvalue block for one partition."""
-    parts = check_partition(parts)
-    n = sum(parts)
-    if n < 2:
-        raise ValueError("need a partition of n >= 2")
-    r = rt_r(parts)
-    s = Fraction(1, n) + Fraction(n - 1, n) * r
-    return RtEig(parts, r, s)
+    return _rt_eigenvalue(*_checked(parts))
+
+
+def _rt_eigenvalue(parts, n):
+    # the content sum: sum_i C(p_i, 2) less sum_j C(p'_j, 2), which is sum_i (i - 1) p_i
+    r = Fraction(sum(comb(p, 2) - i * p for i, p in enumerate(parts)), comb(n, 2))
+    return RtEig(parts, r, Fraction(1, n) + Fraction(n - 1, n) * r)
 
 
 def star_eigenvalues(parts):
     """Star-transpositions eigenvalues of one partition, one per corner."""
-    parts = check_partition(parts)
-    n = sum(parts)
-    if n < 2:
-        raise ValueError("need a partition of n >= 2")
-    out = []
-    for c in corners(parts):
-        s_bar = Fraction(parts[c.row - 1] - c.row + 1, n)
-        out.append(StarEig(parts, c.row, c.reduced, s_bar))
-    return out
+    return _star_eigenvalues(*_checked(parts))
+
+
+def _star_eigenvalues(parts, n):
+    return [
+        StarEig(parts, c.row, c.reduced, Fraction(parts[c.row - 1] - c.row + 1, n))
+        for c in _corners(parts)
+    ]
 
 
 @lru_cache(maxsize=1)
 def blocks(n):
     """Every partition of n, in enumeration order, as (lam, lam_t, d, s, corners):
     its transpose, exact dimension, random-transpositions eigenvalue, and one
-    (row, d_corner, s_bar) per removable corner in row order. Each dimension,
-    of a partition of n or of n - 1, is computed once. Read-only, as the cache
-    shares it."""
+    (row, d_corner, s_bar) per removable corner in row order. Each partition, of
+    n or of n - 1, is transposed once and its dimension computed once, and none
+    is checked again. Read-only, as the cache shares it."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if n > EXACT_DIM_CAP:
         raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
-    dims_red = {mu: exact_dim(mu) for mu in enumerate_partitions(n - 1)}
-    return tuple(
-        (lam, transpose(lam), exact_dim(lam), rt_eigenvalue(lam).s,
-         tuple((e.corner_row, dims_red[e.reduced], e.s_bar) for e in star_eigenvalues(lam)))
-        for lam in enumerate_partitions(n)
-    )
+    dims_red = {mu: _dim(mu, _transpose(mu)) for mu in enumerate_partitions(n - 1)}
+    out = []
+    for lam in enumerate_partitions(n):
+        lam_t = _transpose(lam)
+        cs = tuple((e.corner_row, dims_red[e.reduced], e.s_bar) for e in _star_eigenvalues(lam, n))
+        out.append((lam, lam_t, _dim(lam, lam_t), _rt_eigenvalue(lam, n).s, cs))
+    return tuple(out)
 
 
 def spectrum_rows(chain, n):

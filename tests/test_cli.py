@@ -170,15 +170,15 @@ class TestVerify:
 
     def test_one_block_build_per_run(self, monkeypatch, capsys):
         calls = []
-        exact_dim = partitions.exact_dim
+        dim = partitions._dim  # the hook length product behind exact_dim
 
-        def counted(parts):
+        def counted(parts, tr):
             calls.append(parts)
-            return exact_dim(parts)
+            return dim(parts, tr)
 
         for module in (partitions, spectra, cli):
-            if hasattr(module, "exact_dim"):
-                monkeypatch.setattr(module, "exact_dim", counted)
+            if hasattr(module, "_dim"):
+                monkeypatch.setattr(module, "_dim", counted)
         spectra.blocks.cache_clear()
         misses = spectra.blocks.cache_info().misses
         assert run_cli(["verify", "--n", "30"], capsys)[0] == 0

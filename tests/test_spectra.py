@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shuffle_spectra.partitions import SizeLimitError, corners, enumerate_partitions, transpose
-from shuffle_spectra import spectra
+from shuffle_spectra import partitions, spectra
 
 
 class TestRtEigenvalue:
@@ -149,3 +149,27 @@ class TestSpectrumRows:
     def test_rows_follow_enumeration_order(self):
         rows = spectra.spectrum_rows("rt", 6)
         assert [r[0] for r in rows] == enumerate_partitions(6)
+
+
+class TestBlocks:
+    def test_each_shape_transposed_once_and_not_rechecked(self, monkeypatch):
+        checked, transposed = [], []
+        check, transpose_ = partitions.check_partition, partitions._transpose
+
+        def counted_check(parts):
+            checked.append(parts)
+            return check(parts)
+
+        def counted_transpose(parts):
+            transposed.append(parts)
+            return transpose_(parts)
+
+        for module in (partitions, spectra):
+            monkeypatch.setattr(module, "check_partition", counted_check)
+            monkeypatch.setattr(module, "_transpose", counted_transpose)
+        spectra.blocks.cache_clear()
+        lams = [lam for lam, *_ in spectra.blocks(12)]
+        assert lams == enumerate_partitions(12)
+        assert checked == []
+        # one transpose per shape of n and n - 1: p(12) + p(11) = 77 + 56
+        assert len(transposed) == len(set(transposed)) == 133
