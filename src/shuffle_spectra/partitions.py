@@ -5,6 +5,7 @@ The empty tuple is the unique partition of 0.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,10 @@ class SizeLimitError(ValueError):
 
 def check_partition(parts):
     """Validate and normalize a partition to a tuple. Raises ValueError."""
-    parts = tuple(map(int, parts))
+    try:  # ints, numpy ints and bools pass; 2.5, 3.0 and "2" do not
+        parts = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError("partition parts must be integers") from None
     for p, q in zip(parts, parts[1:] + (1,)):  # q: the next part, 1 after the last
         if p < 1:
             raise ValueError(f"partition parts must be positive, got {p}")

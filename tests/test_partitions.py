@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shuffle_spectra import partitions, profiles
+from shuffle_spectra import partitions, profiles, spectra
 from shuffle_spectra.partitions import (
     SizeLimitError,
     check_partition,
@@ -294,3 +294,18 @@ class TestValidation:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             check_partition((3, 0))
+
+    @pytest.mark.parametrize("parts", [(2.5, 1), (3.0,), "21"], ids=["float", "whole-float", "str"])
+    @pytest.mark.parametrize(
+        "func",
+        [exact_dim, transpose, corners, spectra.rt_eigenvalue, spectra.star_eigenvalues],
+        ids=lambda f: f.__name__,
+    )
+    def test_non_integer_parts_rejected(self, func, parts):
+        with pytest.raises(ValueError, match="partition parts must be integers"):
+            func(parts)
+
+    def test_numpy_and_bool_parts_accepted(self):
+        assert check_partition(np.array([3, 1], dtype=np.int8)) == (3, 1)
+        assert type(check_partition(np.array([2]))[0]) is int
+        assert transpose((True,)) == (1,)
