@@ -2,8 +2,8 @@
 
 Permutations are tuples over {0, ..., n-1}; sigma[i] is the card at position i.
 One shuffle step multiplies on the right by a uniformly chosen generator, so a
-transposition generator swaps two fixed positions. States are indexed by the
-Lehmer rank, which coincides with lexicographic order (identity has rank 0).
+transposition generator swaps two fixed positions. States are indexed by their
+lexicographic rank (identity has rank 0).
 
 Transition matrices are stored as integer sparse matrices scaled by n^k, so
 stochasticity, symmetry and commutation can be checked exactly.
@@ -11,6 +11,7 @@ stochasticity, symmetry and commutation can be checked exactly.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ class SparseScaledMatrix:
     mat: sparse.csr_matrix  # int64 entries
     # (start, t, d): the last distribution evolve computed on this matrix
     _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
+    # transposed float operator of mat, built by the first step taken on it
+    _op: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def denom(self):
@@ -43,41 +46,51 @@ class SparseScaledMatrix:
         return (self.mat != self.mat.T).nnz == 0
 
 
-def _lehmer_ranks(cols):
-    """Lehmer ranks of permutations stored by position: cols[i] holds sigma[i]
-    of every permutation. int32 holds every rank for n <= 12."""
-    n = len(cols)
-    ranks = np.zeros(cols.shape[1], dtype=np.int32)
-    smaller = np.empty(cols.shape[1], dtype=np.int8)
-    for i in range(n - 1):
-        # Horner form of sum_i smaller_i * (n - 1 - i)!, in place
-        smaller[:] = 0
-        for j in range(i + 1, n):
-            smaller += cols[j] < cols[i]
-        ranks *= n - i
-        ranks += smaller
-    return ranks
+def _swap_maps(n, pairs):
+    """Rank maps pi[x] = rank(x * (a b)) over S_n for each swap (a, b) in pairs,
+    a < b, from the lexicographic block structure one level down."""
+    below = {(a - 1, b - 1) for a, b in pairs if a} | {(0, b - 1) for a, b in pairs if b > 1}
+    prev = _swap_maps(n - 1, below) if below else {}
+    f = math.factorial(n - 1)
+    base = np.repeat(np.arange(0, n * f, f, dtype=np.int32), f)
+    # a swap that keeps the first card acts one level down in each block
+    keep = {(a + 1, b + 1): base + np.tile(pi, n) for (a, b), pi in prev.items()}
+    maps = {}
+    if any(a == 0 for a, _ in pairs):
+        # (0 1) on the first two mixed-radix digits of the rank
+        g = f // (n - 1)
+        r = np.arange(n * f, dtype=np.int32)
+        d0, d1 = r // f, r // g % (n - 1)
+        maps[0, 1] = (d1 + (d1 >= d0)) * f + (d0 - (d0 > d1)) * g + r % g
+    for a, b in pairs:
+        if a:
+            maps[a, b] = keep[a, b]
+        elif b > 1:  # (0 b) = (1 b)(0 1)(1 b)
+            maps[a, b] = keep[1, b][maps[0, 1][keep[1, b]]]
+    return {p: maps[p] for p in pairs}
 
 
-def _build_from_weights(n, weights, scale):
-    """Right-multiplication walk: weights maps generator tuple -> integer weight."""
-    # itertools order is lexicographic, so column x holds the permutation of rank x
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8).T.copy()
-    m = perms.shape[1]
-    gens = np.array(list(weights), dtype=np.intp)
-    # x * g has sigma[g[i]] at position i; generator-major, one block per g
-    cols = _lehmer_ranks(perms[gens.T].reshape(n, -1))
-    rows = np.tile(np.arange(m, dtype=np.int32), len(gens))
-    data = np.repeat(np.array(list(weights.values()), dtype=np.int64), m)
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(m, m), dtype=np.int64)
-    mat.sum_duplicates()
+def _build_from_weights(n, ident, weights, scale):
+    """Right-multiplication walk: identity weight ident, weights maps each swap
+    (a, b) to an integer weight."""
+    m = math.factorial(n)
+    k = len(weights) + 1
+    maps = _swap_maps(n, weights)
+    # state-major int32 keys col * k + generator; a row's columns are distinct,
+    # so sorting each row gives canonical CSR with no duplicates to sum
+    keys = np.empty((m, k), dtype=np.int32)
+    keys[:, 0] = np.arange(0, m * k, k, dtype=np.int32)
+    for j, pair in enumerate(weights, start=1):
+        np.multiply(maps.pop(pair), k, out=keys[:, j])
+        keys[:, j] += j
+    keys.sort(axis=1)
+    keys = keys.ravel()
+    cols = keys // k
+    keys -= cols * k  # now the generator of each entry
+    data = np.array([ident, *weights.values()], dtype=np.int64)[keys]
+    indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
+    mat = sparse.csr_matrix((data, cols, indptr), shape=(m, m))
     return SparseScaledMatrix(n, scale, mat)
-
-
-def _transposition(n, a, b):
-    g = list(range(n))
-    g[a], g[b] = g[b], g[a]
-    return tuple(g)
 
 
 def check_build_n(n):
@@ -93,18 +106,10 @@ def build_matrix(chain, n):
     star: scale 1, weight 1 on the diagonal and on each (top, j) swap.
     """
     check_build_n(n)
-    ident = tuple(range(n))
     if chain == "rt":
-        weights = {ident: n}
-        for a in range(n):
-            for b in range(a + 1, n):
-                weights[_transposition(n, a, b)] = 2
-        return _build_from_weights(n, weights, 2)
+        return _build_from_weights(n, n, dict.fromkeys(itertools.combinations(range(n), 2), 2), 2)
     if chain == "star":
-        weights = {ident: 1}
-        for j in range(1, n):
-            weights[_transposition(n, 0, j)] = 1
-        return _build_from_weights(n, weights, 1)
+        return _build_from_weights(n, 1, {(0, j): 1 for j in range(1, n)}, 1)
     raise ValueError(f"unknown chain {chain!r}")
 
 
@@ -115,12 +120,12 @@ def build_skewed_matrix(n):
     Scale 1: weight 1 on the diagonal, n-1 on the (0 1) swap.
     """
     check_build_n(n)
-    weights = {tuple(range(n)): 1, _transposition(n, 0, 1): n - 1}
-    return _build_from_weights(n, weights, 1)
+    return _build_from_weights(n, 1, {(0, 1): n - 1}, 1)
 
 
 def _point_mass(matrix, start, t):
-    """Point mass at rank `start`, once t and start are checked."""
+    """(start, t, point mass at rank start), with start and t checked as integers."""
+    start, t = operator.index(start), operator.index(t)
     if t < 0:
         raise ValueError("t must be nonnegative")
     m = matrix.mat.shape[0]
@@ -128,7 +133,7 @@ def _point_mass(matrix, start, t):
         raise ValueError("start rank out of range")
     d = np.zeros(m)
     d[start] = 1.0
-    return d
+    return start, t, d
 
 
 def _steps(matrix, d, k):
@@ -138,12 +143,14 @@ def _steps(matrix, d, k):
     yield d
     if not k:  # a repeated t needs no operator
         return
-    # one copy: the float data shares the integer matrix's index arrays
-    mat = matrix.mat
-    data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
-    a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
-    # symmetric matrices in practice; the transpose keeps the row convention
-    at = a.T
+    if matrix._op is None:
+        # one copy: the float data shares the integer matrix's index arrays
+        mat = matrix.mat
+        data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
+        a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
+        # symmetric matrices in practice; the transpose keeps the row convention
+        matrix._op = a.T
+    at = matrix._op
     for _ in range(k):
         d = at @ d
         d.flags.writeable = False
@@ -153,7 +160,8 @@ def _steps(matrix, d, k):
 def trajectory(matrix, start, t_max):
     """Iterator over the distributions at t = 0, 1, ..., t_max from the point
     mass at rank `start`."""
-    return _steps(matrix, _point_mass(matrix, start, t_max), t_max)
+    _, t_max, d = _point_mass(matrix, start, t_max)
+    return _steps(matrix, d, t_max)
 
 
 def evolve(matrix, start, t):
@@ -162,7 +170,7 @@ def evolve(matrix, start, t):
     Resumes from the last distribution computed on the same matrix when the
     start matches and t has not gone back, so a curve over t costs one step per t.
     """
-    d = _point_mass(matrix, start, t)
+    start, t, d = _point_mass(matrix, start, t)
     cursor = matrix._cursor
     t0 = 0
     if cursor is not None and cursor[0] == start and cursor[1] <= t:

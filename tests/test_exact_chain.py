@@ -43,32 +43,50 @@ def lex_rank(n):
     return {p: i for i, p in enumerate(lex_order(n))}
 
 
-def lehmer_ranks(perms):
-    """build_matrix's vectorised ranking of a list of permutations."""
-    return ec._lehmer_ranks(np.array(perms, dtype=np.int8).reshape(len(perms), -1).T.copy())
+def all_swaps(n):
+    return list(itertools.combinations(range(n), 2))
+
+
+def swap(p, a, b):
+    """p * (a b): the cards at positions a and b exchanged."""
+    q = list(p)
+    q[a], q[b] = q[b], q[a]
+    return tuple(q)
 
 
 class TestRanking:
+    """The build's rank maps pi[x] = rank(x * (a b)) against the lexicographic oracle."""
+
     def test_identity_rank_zero(self):
-        for n in range(1, 9):
-            assert lehmer_ranks([tuple(range(n))]).tolist() == [0]
+        for n in range(2, 9):
             assert lex_order(n)[0] == tuple(range(n))
+            rank = lex_rank(n)
+            for (a, b), pi in ec._swap_maps(n, all_swaps(n)).items():
+                assert pi[0] == rank[swap(range(n), a, b)]
 
     def test_bijection_n3(self):
-        assert set(lehmer_ranks(lex_order(3)).tolist()) == set(range(6))
+        for pi in ec._swap_maps(3, all_swaps(3)).values():
+            assert sorted(pi.tolist()) == list(range(6))
+            assert pi[pi].tolist() == list(range(6))  # a swap undoes itself
 
     def test_rank_is_lexicographic_index(self):
-        assert lehmer_ranks(lex_order(5)).tolist() == list(range(120))
+        for n in range(2, 8):
+            rank = lex_rank(n)
+            maps = ec._swap_maps(n, all_swaps(n))
+            assert list(maps) == all_swaps(n)
+            for (a, b), pi in maps.items():
+                assert pi.dtype == np.int32
+                assert pi.tolist() == [rank[swap(p, a, b)] for p in rank], (n, a, b)
 
     def test_random_round_trip_n8(self):
         rng = random.Random(20230817)
-        perms = []
+        rank = lex_rank(8)
+        maps = ec._swap_maps(8, all_swaps(8))
         for _ in range(10_000):
             p = list(range(8))
             rng.shuffle(p)
-            perms.append(tuple(p))
-        order = lex_order(8)
-        assert [order[r] for r in lehmer_ranks(perms)] == perms
+            for (a, b), pi in maps.items():
+                assert pi[rank[tuple(p)]] == rank[swap(p, a, b)]
 
 
 class TestBuildMatrix:
@@ -117,19 +135,13 @@ def naive_matrix(n, weights):
     return out
 
 
-def swap(n, a, b):
-    g = list(range(n))
-    g[a], g[b] = g[b], g[a]
-    return tuple(g)
-
-
 class TestBuildMatrixOracle:
-    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_naive_construction(self, n):
         ident = tuple(range(n))
-        rt = {ident: n, **{swap(n, a, b): 2 for a in range(n) for b in range(a + 1, n)}}
-        star = {ident: 1, **{swap(n, 0, j): 1 for j in range(1, n)}}
-        skewed = {ident: 1, swap(n, 0, 1): n - 1}
+        rt = {ident: n, **{swap(ident, a, b): 2 for a in range(n) for b in range(a + 1, n)}}
+        star = {ident: 1, **{swap(ident, 0, j): 1 for j in range(1, n)}}
+        skewed = {ident: 1, swap(ident, 0, 1): n - 1}
         cases = [
             (ec.build_matrix("rt", n), rt, 2),
             (ec.build_matrix("star", n), star, 1),
@@ -137,12 +149,19 @@ class TestBuildMatrixOracle:
         ]
         for built, weights, scale in cases:
             assert built.n == n and built.scale == scale
+            assert built.mat.has_canonical_format
+            assert built.mat.indices.dtype == built.mat.indptr.dtype == np.int32
             assert built.mat.dtype == np.int64
             assert np.array_equal(built.mat.toarray(), naive_matrix(n, weights))
 
     def test_vectorised_rank_is_itertools_order(self):
-        perms = np.array(list(itertools.permutations(range(6))), dtype=np.int8)
-        assert np.array_equal(ec._lehmer_ranks(perms.T), np.arange(720))
+        # the state of rank x is perms[x], so perms[pi] must be perms with columns swapped
+        perms = np.array(lex_order(8), dtype=np.int8)
+        for (a, b), pi in ec._swap_maps(8, all_swaps(8)).items():
+            cols = list(range(8))
+            cols[a], cols[b] = b, a
+            assert np.array_equal(perms[pi], perms[:, cols]), (a, b)
+            assert np.array_equal(pi[pi], np.arange(40320))
 
 
 def sparse_walk(m, start, t_max):
@@ -244,8 +263,39 @@ class TestEvolve:
         m = ec.build_matrix("star", 4)
         twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
         ec.evolve(m, 0, 3)
+        assert m._cursor is not None and m._op is not None
+        assert twin._cursor is None and twin._op is None
         assert m == twin
         assert repr(m) == repr(twin)
+
+    def test_operator_built_once_per_matrix(self):
+        m = ec.build_matrix("rt", 5)
+        ec.evolve(m, 0, 0)
+        assert m._op is None  # no step taken, no operator
+        ec.evolve(m, 0, 2)
+        op = m._op
+        ec.evolve(m, 3, 4)
+        list(ec.trajectory(m, 1, 3))
+        assert m._op is op
+        assert op.data.dtype == np.float64
+        assert np.shares_memory(op.indices, m.mat.indices)
+
+    def test_bool_start_is_rank_one(self):
+        m = ec.build_matrix("star", 4)
+        expect = sparse_walk(m, 1, 5)
+        assert np.array_equal(ec.evolve(m, True, 3), expect[3])
+        assert np.array_equal(ec.evolve(m, 1, 5), expect[5])
+        assert np.array_equal(list(ec.trajectory(m, True, 3))[3], expect[3])
+        assert np.array_equal(ec.evolve(m, np.int64(1), np.int64(2)), expect[2])
+
+    @pytest.mark.parametrize("start, t", [(0, 2.0), (0.5, 2), (1.0, 0), (0, "2")])
+    def test_non_integer_start_or_time(self, start, t):
+        m = ec.build_matrix("star", 4)
+        with pytest.raises(TypeError):
+            ec.evolve(m, start, t)
+        with pytest.raises(TypeError):  # raised at the call, before any step
+            ec.trajectory(m, start, t)
+        assert m._cursor is None and m._op is None
 
 
 class TestTotalVariation:
