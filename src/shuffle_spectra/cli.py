@@ -72,9 +72,11 @@ def _cmd_exact_tv(args):
     if args.t_max > exact_chain.EXACT_TV_T_CAP:
         raise ValueError(f"--t-max must be at most {exact_chain.EXACT_TV_T_CAP}")
     matrix = exact_chain.build_matrix(args.chain, args.n)
+    if args.t_max < 0:  # else the empty range below prints a bare header
+        raise ValueError("t must be nonnegative")
     rows = [
-        (args.n, args.chain, t, exact_chain.tv_to_uniform(d))
-        for t, d in enumerate(exact_chain.trajectory(matrix, 0, args.t_max))
+        (args.n, args.chain, t, exact_chain.tv_to_uniform(exact_chain.evolve(matrix, 0, t)))
+        for t in range(args.t_max + 1)
     ]
     return _render(["n", "chain", "t", "tv"], rows, args.format)
 
@@ -174,8 +176,8 @@ def _verify_checks(n):
         ok = True
         p = exact_chain.build_matrix("star", n)
         q = exact_chain.build_matrix("rt", n)
-        dp = list(exact_chain.trajectory(p, 0, 20))
-        dq = list(exact_chain.trajectory(q, 0, 20))
+        dp = [exact_chain.evolve(p, 0, t) for t in range(21)]
+        dq = [exact_chain.evolve(q, 0, t) for t in range(21)]
         for t in range(21):
             for t_star in range(21):
                 lhs = 2.0 * exact_chain.tv_between(dq[t], dp[t_star])

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, SizeLimitError
-from .profiles import _comparison_sums
+from .profiles import _check_time, _comparison_sums
 
 EXACT_TV_T_CAP = 10_000
 
@@ -123,60 +123,31 @@ def build_skewed_matrix(n):
     return _build_from_weights(n, 1, {(0, 1): n - 1}, 1)
 
 
-def _point_mass(matrix, start, t):
-    """(start, t, point mass at rank start), with start and t checked as integers."""
-    start, t = operator.index(start), operator.index(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    m = matrix.mat.shape[0]
-    if not 0 <= start < m:
-        raise ValueError("start rank out of range")
-    d = np.zeros(m)
-    d[start] = 1.0
-    return start, t, d
-
-
-def _steps(matrix, d, k):
-    """Yields d, then the k distributions that follow it, one step at a time;
-    read-only, since each yielded array feeds the next step."""
-    d.flags.writeable = False
-    yield d
-    if not k:  # a repeated t needs no operator
-        return
-    if matrix._op is None:
-        # one copy: the float data shares the integer matrix's index arrays
-        mat = matrix.mat
-        data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
-        a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
-        # symmetric matrices in practice; the transpose keeps the row convention
-        matrix._op = a.T
-    at = matrix._op
-    for _ in range(k):
-        d = at @ d
-        d.flags.writeable = False
-        yield d
-
-
-def trajectory(matrix, start, t_max):
-    """Iterator over the distributions at t = 0, 1, ..., t_max from the point
-    mass at rank `start`."""
-    _, t_max, d = _point_mass(matrix, start, t_max)
-    return _steps(matrix, d, t_max)
-
-
 def evolve(matrix, start, t):
     """Distribution after t steps from the point mass at rank `start`.
 
     Resumes from the last distribution computed on the same matrix when the
     start matches and t has not gone back, so a curve over t costs one step per t.
     """
-    start, t, d = _point_mass(matrix, start, t)
+    start, t = operator.index(start), _check_time(t)
+    m = matrix.mat.shape[0]
+    if not 0 <= start < m:
+        raise ValueError("start rank out of range")
     cursor = matrix._cursor
-    t0 = 0
     if cursor is not None and cursor[0] == start and cursor[1] <= t:
         _, t0, d = cursor
-    for d in _steps(matrix, d, t - t0):
-        pass
+    else:
+        t0, d = 0, np.zeros(m)
+        d[start] = 1.0
+    if t > t0 and matrix._op is None:  # a repeated t needs no operator
+        # one copy: the float data shares the integer matrix's index arrays
+        mat = matrix.mat
+        data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
+        a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
+        # symmetric matrices in practice; the transpose keeps the row convention
+        matrix._op = a.T
+    for _ in range(t - t0):
+        d = matrix._op @ d
     matrix._cursor = (start, t, d)
     return d.copy()
 
@@ -226,6 +197,7 @@ def numeric_eig_multiset(matrix):
 
 def spectral_rhs(n, t, t_star):
     """Formula-side bound: sqrt(sum_lam d_lam sum_i d_red (s^t - sbar^t*)^2)."""
+    t, t_star = _check_time(t), _check_time(t_star)
     return math.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
 
 
@@ -238,9 +210,7 @@ def lemma_l2_check(n, t, t_star):
     """
     if not 2 <= n <= MAX_DENSE_EIG_N:
         raise SizeLimitError(f"lemma_l2_check limited to 2 <= n <= {MAX_DENSE_EIG_N}")
-    if t < 0 or t_star < 0:
-        raise ValueError("times must be nonnegative")
+    rhs = spectral_rhs(n, t, t_star)  # checks both times before any build
     p = build_matrix("star", n)
     q = build_matrix("rt", n)
-    lhs = 2.0 * tv_between(evolve(p, 0, t_star), evolve(q, 0, t))
-    return lhs, spectral_rhs(n, t, t_star)
+    return 2.0 * tv_between(evolve(p, 0, t_star), evolve(q, 0, t)), rhs

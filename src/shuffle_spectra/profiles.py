@@ -9,6 +9,7 @@ accumulated with a stable log-sum-exp.
 import bisect
 import itertools
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,6 +122,14 @@ def poisson_tv(mu1, mu2):
     return _poisson_tv_raw(mu1, mu2)
 
 
+def _check_time(t):
+    """t as an int (numpy integers and bools too); a float raises TypeError."""
+    t = operator.index(t)
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return t
+
+
 def _check_c(c):
     if not PROFILE_C_MIN <= c <= PROFILE_C_MAX:
         raise ValueError(f"c must be in [{PROFILE_C_MIN}, {PROFILE_C_MAX}]")
@@ -145,12 +154,13 @@ def profile_curve(c_min, c_max, step):
         raise ValueError(f"step must be finite and positive, got {step}")
     if c_min > c_max:
         raise ValueError("empty grid: c_min > c_max")
-    if not (c_max - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan
+    c_end = c_max + 1e-9  # the last point may overshoot c_max by rounding
+    if not (c_end - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan
         raise ValueError(f"grid has more than {_PROFILE_GRID_CAP} points")
     points = []
     for k in itertools.count():
         c = c_min + k * step
-        if c > c_max + 1e-9:
+        if c > c_end:
             return points
         points.append(star_profile(c))
 
@@ -446,8 +456,7 @@ def bound_decomposition(n, c, truncation_m):
 def l2_bound(chain, n, t):
     """Classic l2 distance-to-uniform bound: (1/2) sqrt(sum mult |eig|^(2t))."""
     _check_bound_n(n)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = _check_time(t)
     if chain not in ("rt", "star"):
         raise ValueError(f"unknown chain {chain!r}")
     tab = _spectral_table(n)

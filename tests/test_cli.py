@@ -75,6 +75,10 @@ class TestExitCodes:
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "1e-9"], "points"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "inf"], "step"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "nan"], "step"),
+            (["profile", "--c-min", "0", "--c-max", "0", "--step", "1e-15"], "points"),
+            (["profile", "--c-min", "0", "--c-max", "0", "--step", "1e-300"], "points"),
+            (["exact-tv", "--chain", "rt", "--n", "4", "--t-max", "-1"], "t must be nonnegative"),
+            (["exact-tv", "--chain", "rt", "--n", "9", "--t-max", "-1"], "limited to 2 <= n <= 8"),
         ],
         ids=[
             "bound-c-1e300",
@@ -85,6 +89,10 @@ class TestExitCodes:
             "profile-1e9-points",
             "profile-step-inf",
             "profile-step-nan",
+            "profile-slack-1e6-points",
+            "profile-slack-1e291-points",
+            "exact-tv-negative-t-max",
+            "exact-tv-n-checked-first",
         ],
     )
     def test_out_of_range_input_is_one(self, argv, message, capsys):

@@ -204,6 +204,9 @@ class TestProfileCurve:
             pr.profile_curve(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):  # 10^9 points
             pr.profile_curve(0.0, 1.0, 1e-9)
+        for step in (1e-15, 1e-300):  # the 1e-9 end slack counts toward the cap
+            with pytest.raises(ValueError, match="points"):
+                pr.profile_curve(0.0, 0.0, step)
 
 
 class TestCutoffTimes:
@@ -380,6 +383,8 @@ class TestL2Bound:
             pr.l2_bound("star", 8, -1)
         with pytest.raises(ValueError):
             pr.l2_bound("riffle", 8, 1)
+        with pytest.raises(TypeError):
+            pr.l2_bound("rt", 5, 2.5)
 
 
 def partition_counts(n):
