@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, SizeLimitError
-from .profiles import _check_time, _comparison_sums
+from .profiles import _check_bound_n, _check_time, _comparison_sums
 
 EXACT_TV_T_CAP = 10_000
 
@@ -32,7 +32,7 @@ class SparseScaledMatrix:
     mat: sparse.csr_matrix  # int64 entries
     # (start, t, d): the last distribution evolve computed on this matrix
     _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
-    # transposed float operator of mat, built by the first step taken on it
+    # float CSR operator of mat, built by the first step taken on it
     _op: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -128,6 +128,10 @@ def evolve(matrix, start, t):
 
     Resumes from the last distribution computed on the same matrix when the
     start matches and t has not gone back, so a curve over t costs one step per t.
+    The matrix must be symmetric, as every matrix built here is (each generator
+    is an involution carrying one weight): a step multiplies the distribution,
+    a row vector, by the matrix on the right, and is taken as the CSR
+    matrix times a column. Symmetry is not checked.
     """
     start, t = operator.index(start), _check_time(t)
     m = matrix.mat.shape[0]
@@ -143,9 +147,9 @@ def evolve(matrix, start, t):
         # one copy: the float data shares the integer matrix's index arrays
         mat = matrix.mat
         data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
-        a = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape, copy=False)
-        # symmetric matrices in practice; the transpose keeps the row convention
-        matrix._op = a.T
+        matrix._op = sparse.csr_matrix(
+            (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
+        )
     for _ in range(t - t0):
         d = matrix._op @ d
     matrix._cursor = (start, t, d)
@@ -196,7 +200,21 @@ def numeric_eig_multiset(matrix):
 
 
 def spectral_rhs(n, t, t_star):
-    """Formula-side bound: sqrt(sum_lam d_lam sum_i d_red (s^t - sbar^t*)^2)."""
+    """Formula-side bound: sqrt(sum_lam d_lam sum_i d_red (s^t - sbar^t*)^2).
+
+    t and t_star may be integer arrays that broadcast together: the result is
+    then an array of their broadcast shape, from one evaluation of the sums,
+    and each entry agrees with the scalar call's float to 1e-12 relative.
+    """
+    _check_bound_n(n)
+    if np.ndim(t) or np.ndim(t_star):
+        t, t_star = np.asarray(t), np.asarray(t_star)
+        for times in (t, t_star):
+            if not np.issubdtype(times.dtype, np.integer):
+                raise TypeError(f"times must have an integer dtype, not {times.dtype}")
+            if (times < 0).any():
+                raise ValueError("t must be nonnegative")
+        return np.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
     t, t_star = _check_time(t), _check_time(t_star)
     return math.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
 

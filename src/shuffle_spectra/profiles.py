@@ -32,7 +32,17 @@ _LOG_INT = np.array([_NEG_INF] + [math.log(k) for k in range(1, BOUND_N_CAP + 1)
 
 
 def _signed_pow(sign, log_abs, t):
-    """x**t elementwise for x given as sign and log|x| arrays, integer t >= 0."""
+    """x**t elementwise for x given as sign and log|x| arrays, integer t >= 0.
+
+    An integer array t gives every power at once: its axes come first and
+    x's last.
+    """
+    if isinstance(t, np.ndarray):
+        t = t[..., None]
+        zero = t == 0
+        with np.errstate(invalid="ignore"):  # 0 * log|0| at t = 0, replaced below
+            log_pow = np.where(zero, 0.0, t * log_abs)
+        return np.where(zero, 1, np.where(t % 2 == 1, sign, np.abs(sign))), log_pow
     if t == 0:  # x**0 = 1 also at x = 0, where t * log|x| would be nan
         return np.ones_like(sign), np.zeros_like(log_abs)
     return (sign if t % 2 else np.abs(sign)), t * log_abs
@@ -58,7 +68,22 @@ def _signed_diff(sa, la, sb, lb):
     return sign, dlog
 
 
-def _log_sum(log_terms):
+def _log_sum(log_terms, kept=None):
+    """log sum exp over the last axis, of the entries where kept (all if None).
+
+    A 1-D input sums the kept entries into a float. A higher-dimensional one
+    gives an array with the last axis reduced; its dropped entries count as
+    -inf, so each row sums in another order and may differ in the last bits.
+    """
+    if log_terms.ndim > 1:
+        if kept is not None:  # dropped entries may hold nan
+            log_terms = np.where(kept, log_terms, _NEG_INF)
+        m = log_terms.max(-1, initial=_NEG_INF)
+        m[m == _NEG_INF] = 0.0  # an empty sum: log(0) gives -inf below
+        with np.errstate(divide="ignore"):
+            return m + np.log(np.exp(log_terms - m[..., None]).sum(-1))
+    if kept is not None:
+        log_terms = log_terms[kept]
     if not log_terms.size:
         return _NEG_INF
     m = log_terms.max()
@@ -401,24 +426,33 @@ def _comparison_sums(n, t, t_star, truncation_m):
     only through s, sbar and d * d_corner, so each sum runs over the corner
     keys (content sum, j, sbar), weighted by their sums of d * d_corner, and
     term1 over the partition keys; inner corners are those with j >= M.
+
+    t and t_star may be integer arrays that broadcast together: the keys then
+    lie on a last axis, and log S and each term are arrays of the broadcast
+    shape, one entry per pair of times (see _log_sum for their last bits).
     """
+    if isinstance(t, np.ndarray) or isinstance(t_star, np.ndarray):
+        t, t_star = np.broadcast_arrays(t, t_star)
     tab = _spectral_table(n)
     ssign, slog = _signed_pow(tab.sum_sign, tab.sum_log, t)
     bsign, blog = _signed_pow(tab.sbar_sign, tab.sbar_log, t_star)
     high = tab.pkey_j >= truncation_m
-    log1 = _log_sum(tab.pkey_logw[high] + 2.0 * slog[tab.pkey_sum[high]])
+    log1 = _log_sum(tab.pkey_logw[high] + 2.0 * slog.take(tab.pkey_sum[high], -1))
     inner = tab.key_j >= truncation_m
     weight, ksum, ksbar = tab.key_logw, tab.key_sum, tab.key_sbar
-    log2 = _log_sum(weight[inner] + 2.0 * blog[ksbar[inner]])
-    log3 = _log_sum(weight[inner] + slog[ksum[inner]] + blog[ksbar[inner]])
-    dsign, dlog = _signed_diff(ssign[ksum], slog[ksum], bsign[ksbar], blog[ksbar])
+    log2 = _log_sum(weight[inner] + 2.0 * blog.take(ksbar[inner], -1))
+    log3 = _log_sum(weight[inner] + slog.take(ksum[inner], -1) + blog.take(ksbar[inner], -1))
+    dsign, dlog = _signed_diff(
+        ssign.take(ksum, -1), slog.take(ksum, -1), bsign.take(ksbar, -1), blog.take(ksbar, -1)
+    )
     terms = weight + 2.0 * dlog
     kept = dsign != 0
     # term4 sums the lam_1 > n - M and the lam'_1 > n - M sides; as M <= n/2 and
     # lam_1 + lam'_1 <= n + 1, no partition lies on both
-    log4 = _log_sum(terms[kept & ~inner])
-    parts = tuple(math.exp(v) for v in (log1, log2, log3, log4))
-    return _log_sum(terms[kept]), parts
+    log4 = _log_sum(terms, kept & ~inner)
+    exp = np.exp if terms.ndim > 1 else math.exp
+    parts = tuple(exp(v) for v in (log1, log2, log3, log4))
+    return _log_sum(terms, kept), parts
 
 
 def comparison_bound(n, c, truncation_m=None):

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shuffle_spectra import cli, exact_chain, partitions, profiles, spectra
@@ -146,6 +147,24 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", "6"], capsys)
         assert code == 0
         assert "spectrum-vs-numeric;skip" in out
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_small_n_no_fail(self, n, capsys):
+        code, out = run_cli(["verify", "--n", str(n)], capsys)
+        status = dict(line.split(";") for line in out.splitlines()[1:])
+        assert code == 0 and "fail" not in status.values()
+        assert status["comparison-inequality"] == ("pass" if n <= 6 else "skip")
+
+    def test_comparison_inequality_negative_control(self, monkeypatch, capsys):
+        # a right-hand side of zero is below 2 TV(rt^t, star^t*) off t = t* = 0
+        def zero_rhs(n, t, t_star):
+            return np.zeros(np.broadcast(t, t_star).shape)
+
+        monkeypatch.setattr(exact_chain, "spectral_rhs", zero_rhs)
+        code, out = run_cli(["verify", "--n", "5"], capsys)
+        status = dict(line.split(";") for line in out.splitlines()[1:])
+        assert code == 1
+        assert [name for name, st in status.items() if st == "fail"] == ["comparison-inequality"]
 
     # each edit changes the corner in row 2 of (5, 2, 1) at n = 8, and the
     # checks that must then fail

@@ -440,6 +440,44 @@ class TestLemmaInequality:
             with pytest.raises(TypeError):
                 ec.spectral_rhs(5, t, t_star)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rhs_grid_matches_scalar_calls(self, n):
+        ts = np.arange(21)
+        grid = ec.spectral_rhs(n, ts[:, None], ts)
+        assert isinstance(grid, np.ndarray) and grid.shape == (21, 21)
+        want = [[ec.spectral_rhs(n, t, u) for u in range(21)] for t in range(21)]
+        assert all(type(w) is float for row in want for w in row)
+        np.testing.assert_allclose(grid, want, rtol=1e-12, atol=0)
+
+    def test_rhs_scalar_forms_give_floats(self):
+        want = ec.spectral_rhs(5, 4, 8)
+        for t, t_star in ((np.int64(4), np.int64(8)), (np.array(4), np.array(8))):
+            got = ec.spectral_rhs(5, t, t_star)
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize("n", [0, 1, 61])
+    def test_rhs_n_guard(self, n):
+        for t in (1, np.arange(3)):
+            with pytest.raises(SizeLimitError):
+                ec.spectral_rhs(n, t, 1)
+
+    def test_rhs_array_time_guards_before_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the sums were read")
+
+        monkeypatch.setattr(ec, "_comparison_sums", no_table)
+        ts = np.arange(3)
+        for bad, error in (
+            (ts + 0.5, TypeError),
+            (ts.astype(float), TypeError),
+            (ts > 0, TypeError),
+            (ts - 1, ValueError),
+            (np.array([[2], [-3]]), ValueError),
+        ):
+            for args in ((bad, ts), (ts, bad), (bad, 1), (1, bad)):
+                with pytest.raises(error):
+                    ec.spectral_rhs(5, *args)
+
 
 class TestSpectralTraceAgainstMatrix:
     @pytest.mark.parametrize("chain", ["rt", "star"])

@@ -126,6 +126,15 @@ class TestSignedLogReal:
         got = signed_float(*pr._signed_diff(*signed_log(x), -sy, ly))
         assert got[0] == pytest.approx(x + y, rel=1e-9, abs=1e-10)
 
+    def test_pow_over_time_array(self):
+        x = signed_log(-0.5, 0.0, 0.5)
+        ts = np.array([[0, 1, 2], [3, 4, 7]])
+        sign, log_mag = pr._signed_pow(*x, ts)
+        assert sign.shape == log_mag.shape == (2, 3, 3)
+        for idx in np.ndindex(ts.shape):
+            want_sign, want_log = pr._signed_pow(*x, int(ts[idx]))
+            assert np.array_equal(sign[idx], want_sign) and np.array_equal(log_mag[idx], want_log)
+
 
 class TestPoissonTv:
     def test_identical(self):
@@ -385,6 +394,39 @@ class TestL2Bound:
             pr.l2_bound("riffle", 8, 1)
         with pytest.raises(TypeError):
             pr.l2_bound("rt", 5, 2.5)
+
+
+class TestTimeGrid:
+    """_comparison_sums over integer arrays of times against its scalar calls."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grid_matches_scalar_calls(self, n):
+        ts = np.arange(21)
+        tab = pr._spectral_table(n)
+        if n == 2:  # no inner corner: term2 and term3 reduce an empty key axis
+            assert not (tab.key_j >= 1).any()
+        for m in range(1, n // 2 + 1):
+            log_sq, parts = pr._comparison_sums(n, ts[:, None], ts, m)
+            assert log_sq.shape == (21, 21) and all(p.shape == (21, 21) for p in parts)
+            want = [[pr._comparison_sums(n, t, u, m) for u in range(21)] for t in range(21)]
+            squares = [[math.exp(log_w) for log_w, _ in row] for row in want]
+            np.testing.assert_allclose(np.exp(log_sq), squares, rtol=1e-12, atol=0)
+            for k, part in enumerate(parts):
+                want_k = [[w[k] for _, w in row] for row in want]
+                np.testing.assert_allclose(part, want_k, rtol=1e-12, atol=0)
+
+    def test_scalar_times_give_floats(self):
+        log_sq, parts = pr._comparison_sums(6, 4, 9, 2)
+        assert np.ndim(log_sq) == 0 and all(type(p) is float for p in parts)
+
+    def test_one_time_array_broadcasts(self):
+        ts = np.arange(5)
+        log_sq, parts = pr._comparison_sums(6, 3, ts, 1)
+        assert log_sq.shape == (5,) and all(p.shape == (5,) for p in parts)
+        for u in ts.tolist():
+            want_log, want_parts = pr._comparison_sums(6, 3, u, 1)
+            assert math.exp(log_sq[u]) == pytest.approx(math.exp(want_log), rel=1e-12)
+            assert list(p[u] for p in parts) == pytest.approx(want_parts, rel=1e-12)
 
 
 def partition_counts(n):
