@@ -70,24 +70,27 @@ def _swap_maps(n, pairs):
     return {p: maps[p] for p in pairs}
 
 
-def _build_from_weights(n, ident, weights, scale):
-    """Right-multiplication walk: identity weight ident, weights maps each swap
-    (a, b) to an integer weight."""
+def _build_from_weights(n, ident, pairs, weight, scale):
+    """Right-multiplication walk: weight ident on the identity and weight on
+    each swap (a, b) in pairs."""
     m = math.factorial(n)
-    k = len(weights) + 1
-    maps = _swap_maps(n, weights)
-    # state-major int32 keys col * k + generator; a row's columns are distinct,
-    # so sorting each row gives canonical CSR with no duplicates to sum
-    keys = np.empty((m, k), dtype=np.int32)
-    keys[:, 0] = np.arange(0, m * k, k, dtype=np.int32)
-    for j, pair in enumerate(weights, start=1):
-        np.multiply(maps.pop(pair), k, out=keys[:, j])
-        keys[:, j] += j
+    k = len(pairs) + 1
+    bits = (k - 1).bit_length()
+    maps = _swap_maps(n, pairs)
+    # int32 keys col << bits | generator, filled one generator per row; a
+    # state's columns are distinct, so sorting each state's keys gives
+    # canonical CSR with no duplicates to sum
+    block = np.empty((k, m), dtype=np.int32)
+    np.left_shift(np.arange(m, dtype=np.int32), bits, out=block[0])
+    for j, pair in enumerate(pairs, start=1):
+        np.left_shift(maps.pop(pair), bits, out=block[j])
+        block[j] |= j
+    keys = np.ascontiguousarray(block.T)
     keys.sort(axis=1)
     keys = keys.ravel()
-    cols = keys // k
-    keys -= cols * k  # now the generator of each entry
-    data = np.array([ident, *weights.values()], dtype=np.int64)[keys]
+    cols = np.right_shift(keys, bits, out=block.ravel())
+    keys &= (1 << bits) - 1  # now the generator of each entry
+    data = np.where(keys, np.int64(weight), np.int64(ident))
     indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
     mat = sparse.csr_matrix((data, cols, indptr), shape=(m, m))
     return SparseScaledMatrix(n, scale, mat)
@@ -107,9 +110,9 @@ def build_matrix(chain, n):
     """
     check_build_n(n)
     if chain == "rt":
-        return _build_from_weights(n, n, dict.fromkeys(itertools.combinations(range(n), 2), 2), 2)
+        return _build_from_weights(n, n, list(itertools.combinations(range(n), 2)), 2, 2)
     if chain == "star":
-        return _build_from_weights(n, 1, {(0, j): 1 for j in range(1, n)}, 1)
+        return _build_from_weights(n, 1, [(0, j) for j in range(1, n)], 1, 1)
     raise ValueError(f"unknown chain {chain!r}")
 
 
@@ -120,7 +123,7 @@ def build_skewed_matrix(n):
     Scale 1: weight 1 on the diagonal, n-1 on the (0 1) swap.
     """
     check_build_n(n)
-    return _build_from_weights(n, 1, {(0, 1): n - 1}, 1)
+    return _build_from_weights(n, 1, [(0, 1)], n - 1, 1)
 
 
 def evolve(matrix, start, t):
@@ -146,7 +149,7 @@ def evolve(matrix, start, t):
     if t > t0 and matrix._op is None:  # a repeated t needs no operator
         # one copy: the float data shares the integer matrix's index arrays
         mat = matrix.mat
-        data = mat.data.astype(np.float64) * (1.0 / matrix.denom)
+        data = np.multiply(mat.data, 1.0 / matrix.denom)
         matrix._op = sparse.csr_matrix(
             (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
         )
@@ -228,7 +231,11 @@ def lemma_l2_check(n, t, t_star):
     """
     if not 2 <= n <= MAX_DENSE_EIG_N:
         raise SizeLimitError(f"lemma_l2_check limited to 2 <= n <= {MAX_DENSE_EIG_N}")
-    rhs = spectral_rhs(n, t, t_star)  # checks both times before any build
+    try:  # spectral_rhs would take arrays, evolve would not
+        t, t_star = _check_time(t), _check_time(t_star)
+    except TypeError as err:
+        raise TypeError("lemma_l2_check takes scalar integer times") from err
+    rhs = spectral_rhs(n, t, t_star)
     p = build_matrix("star", n)
     q = build_matrix("rt", n)
     return 2.0 * tv_between(evolve(p, 0, t_star), evolve(q, 0, t)), rhs

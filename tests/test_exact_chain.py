@@ -112,7 +112,7 @@ class TestBuildMatrix:
             assert row[rank[s]] == 2
 
     @pytest.mark.parametrize("chain", ["rt", "star"])
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_stochastic_and_symmetric(self, chain, n):
         m = ec.build_matrix(chain, n)
         assert np.all(m.mat.sum(axis=1) == m.denom)
@@ -135,6 +135,17 @@ def naive_matrix(n, weights):
     return out
 
 
+def lehmer_ranks(perms):
+    """Lexicographic rank of each row of perms by its Lehmer code: the count of
+    smaller entries to the right of position i, times (n - 1 - i)!."""
+    n = perms.shape[1]
+    ranks = np.zeros(len(perms), dtype=np.int64)
+    for i in range(n - 1):
+        smaller = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+        ranks += smaller * math.factorial(n - 1 - i)
+    return ranks
+
+
 class TestBuildMatrixOracle:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_naive_construction(self, n):
@@ -153,6 +164,34 @@ class TestBuildMatrixOracle:
             assert built.mat.indices.dtype == built.mat.indptr.dtype == np.int32
             assert built.mat.dtype == np.int64
             assert np.array_equal(built.mat.toarray(), naive_matrix(n, weights))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_lehmer_oracle(self, n):
+        # each generator as the column order it puts the cards in
+        ident = tuple(range(n))
+        perms = np.array(lex_order(n), dtype=np.int8)
+        m = len(perms)
+        rt = [(ident, n)] + [(swap(ident, a, b), 2) for a, b in all_swaps(n)]
+        star = [(ident, 1)] + [(swap(ident, 0, j), 1) for j in range(1, n)]
+        skewed = [(ident, 1), (swap(ident, 0, 1), n - 1)]
+        cases = [
+            (ec.build_matrix("rt", n), rt),
+            (ec.build_matrix("star", n), star),
+            (ec.build_skewed_matrix(n), skewed),
+        ]
+        for built, weights in cases:
+            rows = np.tile(np.arange(m), len(weights))
+            cols = np.concatenate([lehmer_ranks(perms[:, list(g)]) for g, _ in weights])
+            data = np.repeat(np.array([w for _, w in weights], dtype=np.int64), m)
+            oracle = sparse.coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+            oracle.sum_duplicates()
+            oracle.sort_indices()
+            mat = built.mat
+            assert mat.has_canonical_format
+            assert mat.indptr.dtype == mat.indices.dtype == np.int32 and mat.data.dtype == np.int64
+            assert np.array_equal(mat.indptr, oracle.indptr)
+            assert np.array_equal(mat.indices, oracle.indices)
+            assert np.array_equal(mat.data, oracle.data)
 
     def test_vectorised_rank_is_itertools_order(self):
         # the state of rank x is perms[x], so perms[pi] must be perms with columns swapped
@@ -264,6 +303,14 @@ class TestEvolve:
         assert m._op is op
         assert op.data.dtype == np.float64
         assert np.shares_memory(op.indices, m.mat.indices)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_operator_data_is_scaled_integer_data(self, n):
+        for m in (ec.build_matrix("rt", n), ec.build_matrix("star", n), ec.build_skewed_matrix(n)):
+            ec.evolve(m, 0, 1)
+            want = m.mat.data.astype(np.float64) * (1.0 / m.denom)
+            assert np.array_equal(m._op.data, want)
+            assert np.shares_memory(m._op.indices, m.mat.indices)
 
     def test_bool_start_is_rank_one(self):
         m = ec.build_matrix("star", 4)
@@ -420,6 +467,21 @@ class TestLemmaInequality:
             for t_star in range(21):
                 lhs = 2.0 * ec.tv_between(dq[t], dp[t_star])
                 assert lhs <= ec.spectral_rhs(5, t, t_star) + 1e-10
+
+    def test_array_times_refused_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(ec, "build_matrix", refuse)
+        monkeypatch.setattr(ec, "_comparison_sums", refuse)
+        for t, t_star in ((np.arange(3), 2), (2, np.arange(3)), (np.array([4]), 8)):
+            with pytest.raises(TypeError, match="scalar"):
+                ec.lemma_l2_check(5, t, t_star)
+
+    def test_numpy_scalar_times(self):
+        want = ec.lemma_l2_check(5, 4, 8)
+        for t, t_star in ((np.int64(4), np.int32(8)), (np.array(4), np.array(8))):
+            assert ec.lemma_l2_check(5, t, t_star) == want
 
     def test_rhs_matches_numeric_oracle(self):
         formula = ec.spectral_rhs(5, 4, 8)
