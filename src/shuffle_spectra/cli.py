@@ -173,15 +173,21 @@ def _verify_checks(n):
     else:
         yield "spectrum-vs-numeric", "skip"
     if n <= MAX_DENSE_EIG_N:
-        # 2 TV(rt^t, star^t*) <= rhs on the grid t, t* = 0..20, each side in one pass
+        # 2 TV(rt^t, star^t*) <= rhs on the grid t, t* = 0..20, each side in one
+        # pass; both walks are diagonal in the Young basis, so by Plancherel
+        # n! |dq - dp|^2 = rhs^2, to rounding on the scale of both sides' terms
         p = exact_chain.build_matrix("star", n)
         q = exact_chain.build_matrix("rt", n)
         dp = np.array([exact_chain.evolve(p, 0, t) for t in range(21)])
         dq = np.array([exact_chain.evolve(q, 0, t) for t in range(21)])
-        lhs = np.abs(dq[:, None] - dp[None]).sum(-1)
+        diff = dq[:, None] - dp[None]
         ts = np.arange(21)
         rhs = exact_chain.spectral_rhs(n, ts[:, None], ts)
-        yield "comparison-inequality", status(bool((lhs <= rhs + 1e-10).all()))
+        f = math.factorial(n)
+        gap = np.abs(f * (diff * diff).sum(-1) - rhs * rhs)
+        scale = rhs * rhs + f * (((dq - 1 / f) ** 2).sum(-1)[:, None] + ((dp - 1 / f) ** 2).sum(-1))
+        ok = (np.abs(diff).sum(-1) <= rhs + 1e-10) & (gap <= 1e-12 * scale)
+        yield "comparison-inequality", status(bool(ok.all()))
     else:
         yield "comparison-inequality", "skip"
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, SizeLimitError
-from .profiles import _check_bound_n, _check_time, _comparison_sums
+from .profiles import _check_bound_n, _check_time, _comparison_sums, _float_if_0d
 
 EXACT_TV_T_CAP = 10_000
 
@@ -207,19 +207,17 @@ def spectral_rhs(n, t, t_star):
 
     t and t_star may be integer arrays that broadcast together: the result is
     then an array of their broadcast shape, from one evaluation of the sums,
-    and each entry agrees with the scalar call's float to 1e-12 relative.
+    and each entry equals the scalar call's float.
     """
     _check_bound_n(n)
-    if np.ndim(t) or np.ndim(t_star):
-        t, t_star = np.asarray(t), np.asarray(t_star)
-        for times in (t, t_star):
-            if not np.issubdtype(times.dtype, np.integer):
-                raise TypeError(f"times must have an integer dtype, not {times.dtype}")
-            if (times < 0).any():
-                raise ValueError("t must be nonnegative")
-        return np.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
-    t, t_star = _check_time(t), _check_time(t_star)
-    return math.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0])
+    # a scalar as by _check_time, and 0-d; an array needs an integer dtype
+    t, t_star = (np.asarray(_check_time(x) if np.ndim(x) == 0 else x) for x in (t, t_star))
+    for times in (t, t_star):
+        if not np.issubdtype(times.dtype, np.integer):
+            raise TypeError(f"times must have an integer dtype, not {times.dtype}")
+        if (times < 0).any():
+            raise ValueError("t must be nonnegative")
+    return _float_if_0d(np.exp(0.5 * _comparison_sums(n, t, t_star, 1)[0]))
 
 
 def lemma_l2_check(n, t, t_star):

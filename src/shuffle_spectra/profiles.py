@@ -32,20 +32,13 @@ _LOG_INT = np.array([_NEG_INF] + [math.log(k) for k in range(1, BOUND_N_CAP + 1)
 
 
 def _signed_pow(sign, log_abs, t):
-    """x**t elementwise for x given as sign and log|x| arrays, integer t >= 0.
-
-    An integer array t gives every power at once: its axes come first and
-    x's last.
-    """
-    if isinstance(t, np.ndarray):
-        t = t[..., None]
-        zero = t == 0
-        with np.errstate(invalid="ignore"):  # 0 * log|0| at t = 0, replaced below
-            log_pow = np.where(zero, 0.0, t * log_abs)
-        return np.where(zero, 1, np.where(t % 2 == 1, sign, np.abs(sign))), log_pow
-    if t == 0:  # x**0 = 1 also at x = 0, where t * log|x| would be nan
-        return np.ones_like(sign), np.zeros_like(log_abs)
-    return (sign if t % 2 else np.abs(sign)), t * log_abs
+    """x**t elementwise for x given as sign and log|x| arrays, t an integer or
+    integer array >= 0: t's axes come first and x's last."""
+    t = np.asarray(t)[..., None]
+    zero = t == 0
+    with np.errstate(invalid="ignore"):  # 0 * log|0| at t = 0, replaced below
+        log_pow = np.where(zero, 0.0, t * log_abs)
+    return np.where(zero, 1, np.where(t % 2 == 1, sign, np.abs(sign))), log_pow
 
 
 def _signed_diff(sa, la, sb, lb):
@@ -69,27 +62,19 @@ def _signed_diff(sa, la, sb, lb):
 
 
 def _log_sum(log_terms, kept=None):
-    """log sum exp over the last axis, of the entries where kept (all if None).
-
-    A 1-D input sums the kept entries into a float. A higher-dimensional one
-    gives an array with the last axis reduced; its dropped entries count as
-    -inf, so each row sums in another order and may differ in the last bits.
-    """
-    if log_terms.ndim > 1:
-        if kept is not None:  # dropped entries may hold nan
-            log_terms = np.where(kept, log_terms, _NEG_INF)
-        m = log_terms.max(-1, initial=_NEG_INF)
-        m[m == _NEG_INF] = 0.0  # an empty sum: log(0) gives -inf below
-        with np.errstate(divide="ignore"):
-            return m + np.log(np.exp(log_terms - m[..., None]).sum(-1))
+    """log sum exp over the last axis of the entries where kept (all if None).
+    Dropped ones count as -inf and may hold nan: each row sums in one order."""
     if kept is not None:
-        log_terms = log_terms[kept]
-    if not log_terms.size:
-        return _NEG_INF
-    m = log_terms.max()
-    if m == _NEG_INF:
-        return _NEG_INF
-    return m + math.log(np.exp(log_terms - m).sum())
+        log_terms = np.where(kept, log_terms, _NEG_INF)
+    m = log_terms.max(-1, initial=_NEG_INF, keepdims=True)
+    m[m == _NEG_INF] = 0.0  # an empty sum: log(0) gives -inf below
+    with np.errstate(divide="ignore"):
+        return m[..., 0] + np.log(np.exp(log_terms - m).sum(-1))
+
+
+def _float_if_0d(x):
+    """A 0-d result as a Python float; an array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -148,10 +133,10 @@ def poisson_tv(mu1, mu2):
 
 
 def _check_time(t):
-    """t as an int (numpy integers and bools too); a float raises TypeError."""
+    """t as an int in [0, 2**63) (numpy integers and bools too); a float raises TypeError."""
     t = operator.index(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < 2**63:  # times are int64 in the sums
+        raise ValueError(f"t must be nonnegative and below 2**63, got {t}")
     return t
 
 
@@ -427,12 +412,11 @@ def _comparison_sums(n, t, t_star, truncation_m):
     keys (content sum, j, sbar), weighted by their sums of d * d_corner, and
     term1 over the partition keys; inner corners are those with j >= M.
 
-    t and t_star may be integer arrays that broadcast together: the keys then
-    lie on a last axis, and log S and each term are arrays of the broadcast
-    shape, one entry per pair of times (see _log_sum for their last bits).
+    t and t_star are integers or integer arrays that broadcast together, and
+    the keys lie on a last axis: log S and each term are floats, or arrays of
+    the broadcast shape whose entries equal the scalar calls' floats.
     """
-    if isinstance(t, np.ndarray) or isinstance(t_star, np.ndarray):
-        t, t_star = np.broadcast_arrays(t, t_star)
+    t, t_star = np.broadcast_arrays(t, t_star)
     tab = _spectral_table(n)
     ssign, slog = _signed_pow(tab.sum_sign, tab.sum_log, t)
     bsign, blog = _signed_pow(tab.sbar_sign, tab.sbar_log, t_star)
@@ -450,9 +434,8 @@ def _comparison_sums(n, t, t_star, truncation_m):
     # term4 sums the lam_1 > n - M and the lam'_1 > n - M sides; as M <= n/2 and
     # lam_1 + lam'_1 <= n + 1, no partition lies on both
     log4 = _log_sum(terms, kept & ~inner)
-    exp = np.exp if terms.ndim > 1 else math.exp
-    parts = tuple(exp(v) for v in (log1, log2, log3, log4))
-    return _log_sum(terms, kept), parts
+    parts = tuple(_float_if_0d(np.exp(v)) for v in (log1, log2, log3, log4))
+    return _float_if_0d(_log_sum(terms, kept)), parts
 
 
 def comparison_bound(n, c, truncation_m=None):
@@ -490,13 +473,13 @@ def bound_decomposition(n, c, truncation_m):
 def l2_bound(chain, n, t):
     """Classic l2 distance-to-uniform bound: (1/2) sqrt(sum mult |eig|^(2t))."""
     _check_bound_n(n)
-    t = _check_time(t)
+    t = _check_time(t)  # 2 * t may leave int64: the log is doubled below
     if chain not in ("rt", "star"):
         raise ValueError(f"unknown chain {chain!r}")
     tab = _spectral_table(n)
     if chain == "rt":
-        log_terms = tab.pkey_logw + _signed_pow(tab.sum_sign, tab.sum_log, 2 * t)[1][tab.pkey_sum]
+        log_terms = tab.pkey_logw + 2.0 * _signed_pow(tab.sum_sign, tab.sum_log, t)[1][tab.pkey_sum]
     else:
-        log_terms = tab.key_logw + _signed_pow(tab.sbar_sign, tab.sbar_log, 2 * t)[1][tab.key_sbar]
+        log_terms = tab.key_logw + 2.0 * _signed_pow(tab.sbar_sign, tab.sbar_log, t)[1][tab.key_sbar]
     # the trivial block (n,) is alone in the last key of each kind
     return 0.5 * math.exp(0.5 * _log_sum(log_terms[:-1]))

@@ -166,6 +166,21 @@ class TestVerify:
         assert code == 1
         assert [name for name, st in status.items() if st == "fail"] == ["comparison-inequality"]
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_comparison_identity_negative_control(self, n, monkeypatch, capsys):
+        # a right-hand side 1e-6 too large still bounds 2 TV(rt^t, star^t*),
+        # but breaks n! |rt^t - star^t*|^2 = rhs^2
+        spectral_rhs = exact_chain.spectral_rhs
+
+        def inflated_rhs(n, t, t_star):
+            return spectral_rhs(n, t, t_star) * (1 + 1e-6)
+
+        monkeypatch.setattr(exact_chain, "spectral_rhs", inflated_rhs)
+        code, out = run_cli(["verify", "--n", str(n)], capsys)
+        status = dict(line.split(";") for line in out.splitlines()[1:])
+        assert code == 1
+        assert [name for name, st in status.items() if st == "fail"] == ["comparison-inequality"]
+
     # each edit changes the corner in row 2 of (5, 2, 1) at n = 8, and the
     # checks that must then fail
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 
 from shuffle_spectra import exact_chain as ec
+from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, enumerate_partitions
 
@@ -509,13 +510,43 @@ class TestLemmaInequality:
         assert isinstance(grid, np.ndarray) and grid.shape == (21, 21)
         want = [[ec.spectral_rhs(n, t, u) for u in range(21)] for t in range(21)]
         assert all(type(w) is float for row in want for w in row)
-        np.testing.assert_allclose(grid, want, rtol=1e-12, atol=0)
+        assert np.array_equal(grid, want)
 
     def test_rhs_scalar_forms_give_floats(self):
         want = ec.spectral_rhs(5, 4, 8)
         for t, t_star in ((np.int64(4), np.int64(8)), (np.array(4), np.array(8))):
             got = ec.spectral_rhs(5, t, t_star)
             assert type(got) is float and got == want
+
+    def test_rhs_bool_time_is_an_int(self):
+        assert ec.spectral_rhs(5, True, 3) == ec.spectral_rhs(5, 1, 3)
+        assert ec.spectral_rhs(5, 3, False) == ec.spectral_rhs(5, 3, 0)
+
+    def test_rhs_time_2_62(self):
+        # s^t underflows to 0 off the trivial block, leaving the sbar^t* side
+        assert ec.spectral_rhs(5, 2**62, 2) == float.fromhex("0x1.83bc8a7784dd1p+1")
+
+    def test_rhs_time_beyond_int64_refused_before_table(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError("the table was read")
+
+        monkeypatch.setattr(pr, "_spectral_table", no_table)
+        for args in ((2**70, 1), (1, 2**70), (np.arange(3), 2**70)):
+            with pytest.raises(ValueError, match=str(2**70)):
+                ec.spectral_rhs(5, *args)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_plancherel_identity(self, n):
+        # both walks are diagonal in the Young basis, so n! |rt^t - star^t*|^2
+        # equals rhs^2, up to rounding on the scale of the terms of both sides
+        p, q = ec.build_matrix("star", n), ec.build_matrix("rt", n)
+        dp = np.array([ec.evolve(p, 0, t) for t in range(21)])
+        dq = np.array([ec.evolve(q, 0, t) for t in range(21)])
+        f, ts = math.factorial(n), np.arange(21)
+        sq = ec.spectral_rhs(n, ts[:, None], ts) ** 2
+        gap = np.abs(f * ((dq[:, None] - dp[None]) ** 2).sum(-1) - sq)
+        dev = f * ((dq - 1 / f) ** 2).sum(-1)[:, None] + f * ((dp - 1 / f) ** 2).sum(-1)
+        assert (gap <= 1e-12 * (sq + dev)).all()
 
     @pytest.mark.parametrize("n", [0, 1, 61])
     def test_rhs_n_guard(self, n):

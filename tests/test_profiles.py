@@ -395,6 +395,19 @@ class TestL2Bound:
         with pytest.raises(TypeError):
             pr.l2_bound("rt", 5, 2.5)
 
+    def test_time_2_62_underflows_to_zero(self):
+        # 2 * t is past int64 here; every power of an |eig| < 1 underflows to 0
+        assert pr.l2_bound("rt", 5, 2**62) == 0.0 and pr.l2_bound("star", 5, 2**62) == 0.0
+
+    def test_time_beyond_int64_refused_before_table(self, monkeypatch):
+        def no_table(n):
+            raise AssertionError("the table was read")
+
+        monkeypatch.setattr(pr, "_spectral_table", no_table)
+        for chain in ("rt", "star"):
+            with pytest.raises(ValueError, match=str(2**70)):
+                pr.l2_bound(chain, 5, 2**70)
+
 
 class TestTimeGrid:
     """_comparison_sums over integer arrays of times against its scalar calls."""
@@ -409,15 +422,17 @@ class TestTimeGrid:
             log_sq, parts = pr._comparison_sums(n, ts[:, None], ts, m)
             assert log_sq.shape == (21, 21) and all(p.shape == (21, 21) for p in parts)
             want = [[pr._comparison_sums(n, t, u, m) for u in range(21)] for t in range(21)]
-            squares = [[math.exp(log_w) for log_w, _ in row] for row in want]
-            np.testing.assert_allclose(np.exp(log_sq), squares, rtol=1e-12, atol=0)
+            # one evaluation path: each grid entry is the scalar call's float
+            assert np.array_equal(log_sq, [[log_w for log_w, _ in row] for row in want])
             for k, part in enumerate(parts):
-                want_k = [[w[k] for _, w in row] for row in want]
-                np.testing.assert_allclose(part, want_k, rtol=1e-12, atol=0)
+                assert np.array_equal(part, [[w[k] for _, w in row] for row in want])
 
     def test_scalar_times_give_floats(self):
-        log_sq, parts = pr._comparison_sums(6, 4, 9, 2)
-        assert np.ndim(log_sq) == 0 and all(type(p) is float for p in parts)
+        want = pr._comparison_sums(6, 4, 9, 2)
+        for t, t_star in ((4, 9), (np.int64(4), np.int32(9)), (np.array(4), np.array(9))):
+            log_sq, parts = pr._comparison_sums(6, t, t_star, 2)
+            assert type(log_sq) is float and all(type(p) is float for p in parts)
+            assert (log_sq, parts) == want
 
     def test_one_time_array_broadcasts(self):
         ts = np.arange(5)
@@ -425,8 +440,7 @@ class TestTimeGrid:
         assert log_sq.shape == (5,) and all(p.shape == (5,) for p in parts)
         for u in ts.tolist():
             want_log, want_parts = pr._comparison_sums(6, 3, u, 1)
-            assert math.exp(log_sq[u]) == pytest.approx(math.exp(want_log), rel=1e-12)
-            assert list(p[u] for p in parts) == pytest.approx(want_parts, rel=1e-12)
+            assert log_sq[u] == want_log and tuple(p[u] for p in parts) == want_parts
 
 
 def partition_counts(n):
