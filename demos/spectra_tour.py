@@ -7,7 +7,7 @@ transpose antisymmetry of the normalized eigenvalues.
 from fractions import Fraction
 
 from shuffle_spectra import spectra
-from shuffle_spectra.partitions import enumerate_partitions, transpose
+from shuffle_spectra.partitions import enumerate_partitions, exact_dim, transpose
 
 N = 5
 
@@ -16,7 +16,7 @@ def main():
     print(f"random transpositions on S_{N}: one eigenvalue per partition")
     for lam in enumerate_partitions(N):
         e = spectra.rt_eigenvalue(lam)
-        print(f"  {str(lam):<18} s = {str(e.s):>6}   mult d^2 = {e.mult}")
+        print(f"  {str(lam):<18} s = {str(e.s):>6}   mult d^2 = {exact_dim(lam) ** 2}")
 
     print()
     print(f"star transpositions on S_{N}: one eigenvalue per removable corner")
@@ -24,14 +24,15 @@ def main():
         for e in spectra.star_eigenvalues(lam):
             print(
                 f"  {str(lam):<18} corner row {e.corner_row}: "
-                f"sbar = {str(e.s_bar):>6}   mult d*d_corner = {e.mult}"
+                f"sbar = {str(e.s_bar):>6}   "
+                f"mult d*d_corner = {exact_dim(lam) * exact_dim(e.reduced)}"
             )
 
     print()
     print("transposing the diagram negates the normalized rt eigenvalue r:")
     for lam in [(5,), (4, 1), (3, 2)]:
-        r = spectra.rt_r(lam)
-        rt = spectra.rt_r(transpose(lam))
+        r = spectra.rt_eigenvalue(lam).r
+        rt = spectra.rt_eigenvalue(transpose(lam)).r
         assert rt == -r
         print(f"  r{lam} = {r},  r{transpose(lam)} = {rt}")
 

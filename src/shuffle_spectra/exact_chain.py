@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, SizeLimitError
+from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, check_n
 from .profiles import _check_bound_n, _check_time, _comparison_sums, _float_if_0d
 
 EXACT_TV_T_CAP = 10_000
@@ -97,9 +97,8 @@ def _build_from_weights(n, ident, pairs, weight, scale):
 
 
 def check_build_n(n):
-    """Raise SizeLimitError unless an n-card matrix may be built."""
-    if not 2 <= n <= MAX_BUILD_N:
-        raise SizeLimitError(f"matrix construction limited to 2 <= n <= {MAX_BUILD_N}")
+    """n as an int; raises SizeLimitError unless an n-card matrix may be built."""
+    return check_n(n, 2, MAX_BUILD_N, "matrix construction")
 
 
 def build_matrix(chain, n):
@@ -108,7 +107,7 @@ def build_matrix(chain, n):
     rt: scale 2, weight n on the diagonal and 2 on each transposition neighbor.
     star: scale 1, weight 1 on the diagonal and on each (top, j) swap.
     """
-    check_build_n(n)
+    n = check_build_n(n)
     if chain == "rt":
         return _build_from_weights(n, n, list(itertools.combinations(range(n), 2)), 2, 2)
     if chain == "star":
@@ -122,7 +121,7 @@ def build_skewed_matrix(n):
     Not conjugacy-invariant, so it need not commute with the star chain.
     Scale 1: weight 1 on the diagonal, n-1 on the (0 1) swap.
     """
-    check_build_n(n)
+    n = check_build_n(n)
     return _build_from_weights(n, 1, [(0, 1)], n - 1, 1)
 
 
@@ -178,8 +177,7 @@ def exact_commutes(m1, m2):
     """Exact integer check that the two scaled matrices commute."""
     if m1.n != m2.n:
         raise ValueError("matrices over different groups")
-    if m1.n > MAX_EXACT_PRODUCT_N:
-        raise SizeLimitError(f"exact products limited to n <= {MAX_EXACT_PRODUCT_N}")
+    check_n(m1.n, 2, MAX_EXACT_PRODUCT_N, "exact products")
     ab = m1.mat @ m2.mat
     ba = m2.mat @ m1.mat
     return (ab != ba).nnz == 0
@@ -187,15 +185,13 @@ def exact_commutes(m1, m2):
 
 def commutation_check(n):
     """True iff the star and random-transpositions matrices commute exactly."""
-    if not 2 <= n <= MAX_EXACT_PRODUCT_N:
-        raise SizeLimitError(f"commutation check limited to 2 <= n <= {MAX_EXACT_PRODUCT_N}")
+    n = check_n(n, 2, MAX_EXACT_PRODUCT_N, "commutation check")
     return exact_commutes(build_matrix("star", n), build_matrix("rt", n))
 
 
 def numeric_eig_multiset(matrix):
     """All eigenvalues of the scaled matrix, sorted ascending."""
-    if matrix.n > MAX_DENSE_EIG_N:
-        raise SizeLimitError(f"dense eigensolve limited to n <= {MAX_DENSE_EIG_N}")
+    check_n(matrix.n, 2, MAX_DENSE_EIG_N, "dense eigensolve")
     # eigvalsh reads one triangle only, so an asymmetric input must stop here
     if not matrix.is_symmetric_exact():
         raise ValueError("matrix must be symmetric")
@@ -209,7 +205,7 @@ def spectral_rhs(n, t, t_star):
     then an array of their broadcast shape, from one evaluation of the sums,
     and each entry equals the scalar call's float.
     """
-    _check_bound_n(n)
+    n = _check_bound_n(n)
     # a scalar as by _check_time, and 0-d; an array needs an integer dtype
     t, t_star = (np.asarray(_check_time(x) if np.ndim(x) == 0 else x) for x in (t, t_star))
     for times in (t, t_star):
@@ -227,8 +223,7 @@ def lemma_l2_check(n, t, t_star):
     lhs = 2 TV(rt^t, star^t*) and rhs = sqrt(sum d d_corner (s^t - sbar^t*)^2);
     lhs <= rhs must hold.
     """
-    if not 2 <= n <= MAX_DENSE_EIG_N:
-        raise SizeLimitError(f"lemma_l2_check limited to 2 <= n <= {MAX_DENSE_EIG_N}")
+    n = check_n(n, 2, MAX_DENSE_EIG_N, "lemma_l2_check")
     try:  # spectral_rhs would take arrays, evolve would not
         t, t_star = _check_time(t), _check_time(t_star)
     except TypeError as err:

@@ -38,6 +38,15 @@ def check_partition(parts):
     return parts
 
 
+def check_n(n, lo, hi, what):
+    """The deck size n as an int (numpy integers and bools too; a float or a
+    string raises TypeError). Raises SizeLimitError unless lo <= n <= hi."""
+    n = operator.index(n)
+    if not lo <= n <= hi:
+        raise SizeLimitError(f"{what} limited to {lo} <= n <= {hi}")
+    return n
+
+
 @lru_cache(maxsize=1)
 def count_table(n):
     """at_most[v, k]: the number of partitions of k with no part above v, v, k <= n.
@@ -89,10 +98,10 @@ def _source(n):
 def partition_blocks(n, size):
     """The partitions of n in reverse-lex order, size at a time, as int8 rows
     padded with zeros to the longest partition of the block."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > PARTITION_CAP:
-        raise SizeLimitError(f"n={n} exceeds partition cap {PARTITION_CAP}")
+    n = check_n(n, 0, PARTITION_CAP, "partitions")
+    size = operator.index(size)
+    if size < 1:
+        raise ValueError(f"block size must be at least 1, got {size}")
     if n == 0:
         yield np.zeros((1, 0), np.int8)
         return
@@ -111,7 +120,7 @@ def partition_blocks(n, size):
 
 def enumerate_partitions(n):
     """All partitions of n in reverse-lexicographic order, starting at (n,)."""
-    if n == 0:
+    if operator.index(n) == 0:  # partition_blocks checks every other n
         return [()]
     out = []
     for block in partition_blocks(n, 4096):
@@ -138,8 +147,7 @@ def _transpose(parts):
 def exact_dim(parts):
     """Exact SYT count via the hook length formula. Guarded at EXACT_DIM_CAP."""
     parts = check_partition(parts)
-    if sum(parts) > EXACT_DIM_CAP:
-        raise SizeLimitError(f"exact dimension limited to n <= {EXACT_DIM_CAP}")
+    check_n(sum(parts), 0, EXACT_DIM_CAP, "exact dimension")
     return _dim(parts, _transpose(parts))
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import PARTITION_CAP, SizeLimitError, _source, count_table
+from .partitions import PARTITION_CAP, _source, check_n, count_table
 
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
@@ -146,14 +146,10 @@ def _check_c(c):
 
 
 def star_profile(c):
-    """Limit profile of star transpositions at time n(log n + c)."""
+    """Limit profile of star transpositions at time n (log n + c), and by the
+    paper's theorem of random transpositions at its own cutoff (1/2) n (log n + c)."""
     _check_c(c)
     return ProfilePoint(c, _poisson_tv_raw(1.0 + math.exp(-c), 1.0))
-
-
-# By the paper's theorem random transpositions at time (1/2) n (log n + c) has
-# the same limit profile as star transpositions at its own cutoff n (log n + c).
-rt_profile = star_profile
 
 
 def profile_curve(c_min, c_max, step):
@@ -182,6 +178,7 @@ def cutoff_times(n, c):
     Rounds half-up, then bumps the rt time by one if the parities differ so the
     sign of negative eigenvalues raised to these powers matches.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError("n must be at least 2")
     _check_c(c)
@@ -393,8 +390,7 @@ def _spectral_table(n):
 
 
 def _check_bound_n(n):
-    if not 2 <= n <= BOUND_N_CAP:
-        raise SizeLimitError(f"spectral sums limited to 2 <= n <= {BOUND_N_CAP}")
+    return check_n(n, 2, BOUND_N_CAP, "spectral sums")
 
 
 def _check_truncation(n, truncation_m):
@@ -445,7 +441,7 @@ def comparison_bound(n, c, truncation_m=None):
     d * d_corner * (s^t - sbar^t*)^2), accumulated in log space; parts are
     bound_decomposition(n, c, truncation_m), from the same evaluation.
     """
-    _check_bound_n(n)
+    n = _check_bound_n(n)
     t, t_star = cutoff_times(n, c)
     if truncation_m is None:
         truncation_m = min(5, n // 2)
@@ -464,15 +460,12 @@ def bound_decomposition(n, c, truncation_m):
     term4: both boundary sums (lam_1 > n-M, plus lam'_1 > n-M) of the full
            squared differences.
     """
-    _check_bound_n(n)
-    _check_truncation(n, truncation_m)
-    t, t_star = cutoff_times(n, c)
-    return _comparison_sums(n, t, t_star, truncation_m)[1]
+    return comparison_bound(n, c, truncation_m).parts
 
 
 def l2_bound(chain, n, t):
     """Classic l2 distance-to-uniform bound: (1/2) sqrt(sum mult |eig|^(2t))."""
-    _check_bound_n(n)
+    n = _check_bound_n(n)
     t = _check_time(t)  # 2 * t may leave int64: the log is doubled below
     if chain not in ("rt", "star"):
         raise ValueError(f"unknown chain {chain!r}")

@@ -12,13 +12,12 @@ from math import comb
 
 from .partitions import (
     EXACT_DIM_CAP,
-    SizeLimitError,
     _corners,
     _dim,
     _transpose,
+    check_n,
     check_partition,
     enumerate_partitions,
-    exact_dim,
 )
 
 EXACT_TRACE_CAP = 12
@@ -28,31 +27,23 @@ CHAINS = ("rt", "star")
 
 @dataclass(frozen=True)
 class RtEig:
-    """One random-transpositions eigenvalue: s = 1/n + ((n-1)/n) r, mult d^2."""
+    """One random-transpositions eigenvalue s = 1/n + ((n-1)/n) r, r the character
+    ratio of the transposition class; its multiplicity is exact_dim(lam) ** 2."""
 
     lam: tuple
     r: Fraction
     s: Fraction
 
-    @property
-    def mult(self):
-        """Exact d^2; like exact_dim, limited to n <= EXACT_DIM_CAP."""
-        return exact_dim(self.lam) ** 2
-
 
 @dataclass(frozen=True)
 class StarEig:
-    """One star-transpositions eigenvalue, indexed by a removable corner."""
+    """One star-transpositions eigenvalue, indexed by a removable corner; its
+    multiplicity is exact_dim(lam) * exact_dim(reduced)."""
 
     lam: tuple
     corner_row: int
     reduced: tuple
     s_bar: Fraction
-
-    @property
-    def mult(self):
-        """Exact d * d_corner; like exact_dim, limited to n <= EXACT_DIM_CAP."""
-        return exact_dim(self.lam) * exact_dim(self.reduced)
 
 
 def _checked(parts):
@@ -62,11 +53,6 @@ def _checked(parts):
     if n < 2:
         raise ValueError("need a partition of n >= 2")
     return parts, n
-
-
-def rt_r(parts):
-    """The normalized character ratio r of the transposition class at parts."""
-    return _rt_eigenvalue(*_checked(parts)).r
 
 
 def rt_eigenvalue(parts):
@@ -92,17 +78,14 @@ def _star_eigenvalues(parts, n):
     ]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)  # typed: a cached 5 must not answer 5.0
 def blocks(n):
     """Every partition of n, in enumeration order, as (lam, lam_t, d, s, corners):
     its transpose, exact dimension, random-transpositions eigenvalue, and one
     (row, d_corner, s_bar) per removable corner in row order. Each partition, of
     n or of n - 1, is transposed once and its dimension computed once, and none
     is checked again. Read-only, as the cache shares it."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if n > EXACT_DIM_CAP:
-        raise SizeLimitError(f"exact multiplicities limited to n <= {EXACT_DIM_CAP}")
+    n = check_n(n, 2, EXACT_DIM_CAP, "exact multiplicities")
     dims_red = {mu: _dim(mu, _transpose(mu)) for mu in enumerate_partitions(n - 1)}
     out = []
     for lam in enumerate_partitions(n):
@@ -124,8 +107,7 @@ def spectrum_rows(chain, n):
 
 def spectrum_trace(chain, n):
     """Exact rational sum of mult * eigenvalue; equals (n-1)! for both chains."""
-    if not 2 <= n <= EXACT_TRACE_CAP:
-        raise ValueError(f"exact trace limited to n in [2, {EXACT_TRACE_CAP}]")
+    n = check_n(n, 2, EXACT_TRACE_CAP, "exact trace")
     return sum((mult * eig for _, eig, mult in spectrum_rows(chain, n)), Fraction(0))
 
 

@@ -70,9 +70,9 @@ class TestExitCodes:
         [
             (["bound", "--n", "8", "--c", "1e300"], "c must be in"),
             (["compare", "--n", "5", "--c", "13"], "c must be in"),
-            (["verify", "--n", "0"], "--n must be at least 2"),
-            (["verify", "--n", "1"], "--n must be at least 2"),
-            (["verify", "--n", "31"], "--n must be at most 30"),
+            (["verify", "--n", "0"], "exact multiplicities limited to 2 <= n <= 30"),
+            (["verify", "--n", "1"], "exact multiplicities limited to 2 <= n <= 30"),
+            (["verify", "--n", "31"], "exact multiplicities limited to 2 <= n <= 30"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "1e-9"], "points"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "inf"], "step"),
             (["profile", "--c-min", "0", "--c-max", "1", "--step", "nan"], "step"),

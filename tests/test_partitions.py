@@ -83,6 +83,8 @@ partitions_small = st.integers(1, 12).flatmap(
 class TestEnumeration:
     def test_zero(self):
         assert enumerate_partitions(0) == [()]
+        with pytest.raises(TypeError):
+            enumerate_partitions(0.0)
 
     def test_four(self):
         assert enumerate_partitions(4) == [
@@ -131,6 +133,12 @@ class TestEnumeration:
         got = enumerate_partitions(n)
         assert got == list(iter_partitions(n))
         assert all(type(p) is tuple and all(type(x) is int for x in p) for p in got)
+
+    @pytest.mark.parametrize("size, error", [(-1, ValueError), (0, ValueError), (2.5, TypeError)])
+    def test_block_size_must_be_a_positive_integer(self, size, error):
+        for n in (0, 5):
+            with pytest.raises(error):
+                next(partitions.partition_blocks(n, size))
 
     @pytest.mark.parametrize("size", [1, 7, 4096])
     def test_blocks_match_generator(self, size):
@@ -255,7 +263,7 @@ class TestDim:
 
     def test_exact_cap(self):
         lam = (16,) * 2  # partition of 32
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="exact dimension limited to 0 <= n <= 30"):
             exact_dim(lam)
 
 

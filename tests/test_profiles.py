@@ -172,17 +172,22 @@ class TestProfiles:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_rt_equals_star_profile(self):
+        # one function serves both chains, each at its own cutoff:
+        # TV(Poisson(1 + e^-c), Poisson(1))
         for c in np.arange(-4.0, 4.5, 0.5):
-            assert pr.rt_profile(c).value == pr.star_profile(c).value
+            point = pr.star_profile(c)
+            assert point.c == c
+            want = poisson_tv_oracle(1.0 + math.exp(-c), 1.0)
+            assert point.value == pytest.approx(want, abs=1e-12)
 
     def test_rt_at_zero(self):
-        assert pr.rt_profile(0.0).value == pytest.approx(pr.poisson_tv(2.0, 1.0), abs=1e-14)
+        assert pr.star_profile(0.0).value == pytest.approx(pr.poisson_tv(2.0, 1.0), abs=1e-14)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             pr.star_profile(-8.5)
         with pytest.raises(ValueError):
-            pr.rt_profile(12.5)
+            pr.star_profile(12.5)
 
 
 class TestProfileCurve:
@@ -230,6 +235,11 @@ class TestCutoffTimes:
                 t, t_star = pr.cutoff_times(n, c)
                 assert t % 2 == t_star % 2
                 assert t >= 0 and t_star >= 0
+
+    def test_integer_n(self):
+        assert pr.cutoff_times(np.int64(10), 0.0) == pr.cutoff_times(10, 0.0)
+        with pytest.raises(TypeError):  # not rounded to some deck size
+            pr.cutoff_times(10.5, 0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from shuffle_spectra.partitions import SizeLimitError, corners, enumerate_partitions, transpose
+from shuffle_spectra.partitions import (
+    SizeLimitError,
+    corners,
+    enumerate_partitions,
+    exact_dim,
+    transpose,
+)
 from shuffle_spectra import partitions, spectra
 
 
 class TestRtEigenvalue:
     def test_trivial_block(self):
         e = spectra.rt_eigenvalue((6,))
-        assert e.r == 1 and e.s == 1 and e.mult == 1
+        assert e.r == 1 and e.s == 1 and exact_dim(e.lam) ** 2 == 1
 
     def test_sign_block(self):
         # n=4 single column: s = (2-n)/n = -1/2
@@ -21,7 +27,7 @@ class TestRtEigenvalue:
     def test_standard_block(self):
         e = spectra.rt_eigenvalue((4, 1))
         assert e.s == Fraction(3, 5)
-        assert e.mult == 16
+        assert exact_dim(e.lam) ** 2 == 16
 
     def test_affine_relation(self):
         for lam in enumerate_partitions(7):
@@ -34,7 +40,8 @@ class TestRtEigenvalue:
     def test_transpose_antisymmetry(self):
         for n in range(2, 21):
             for lam in enumerate_partitions(n):
-                assert spectra.rt_r(transpose(lam)) == -spectra.rt_r(lam)
+                r_t = spectra.rt_eigenvalue(transpose(lam)).r
+                assert r_t == -spectra.rt_eigenvalue(lam).r
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -45,24 +52,29 @@ class TestRtEigenvalue:
         assert spectra.rt_eigenvalue((49, 1)).s == Fraction(24, 25)
         (_, e) = spectra.star_eigenvalues((49, 1))
         assert e.s_bar == 0
-        for block in (spectra.rt_eigenvalue((49, 1)), e):
+        for parts in (e.lam, e.reduced):
             with pytest.raises(SizeLimitError):
-                block.mult
-        assert spectra.rt_eigenvalue((29, 1)).mult == 29**2
+                exact_dim(parts)
+        assert exact_dim(spectra.rt_eigenvalue((29, 1)).lam) ** 2 == 29**2
 
 
 class TestStarEigenvalues:
     def test_two_corner_shape(self):
-        got = [(e.corner_row, e.s_bar, e.mult) for e in spectra.star_eigenvalues((4, 1))]
+        got = [
+            (e.corner_row, e.s_bar, exact_dim(e.lam) * exact_dim(e.reduced))
+            for e in spectra.star_eigenvalues((4, 1))
+        ]
         assert got == [(1, Fraction(4, 5), 12), (2, Fraction(0), 4)]
 
     def test_trivial_block(self):
         (e,) = spectra.star_eigenvalues((6,))
-        assert e.corner_row == 1 and e.s_bar == 1 and e.mult == 1
+        assert e.corner_row == 1 and e.s_bar == 1
+        assert exact_dim(e.lam) * exact_dim(e.reduced) == 1
 
     def test_sign_block(self):
         (e,) = spectra.star_eigenvalues((1, 1, 1, 1))
-        assert e.corner_row == 4 and e.s_bar == Fraction(-1, 2) and e.mult == 1
+        assert e.corner_row == 4 and e.s_bar == Fraction(-1, 2)
+        assert exact_dim(e.lam) * exact_dim(e.reduced) == 1
 
     def test_star_transpose_antisymmetry(self):
         # rbar = (lam_i - i)/(n-1) flips sign at the dual corner of the transpose
@@ -79,8 +91,8 @@ class TestStarEigenvalues:
     def test_block_multiplicity_sums_to_d_squared(self):
         for lam in enumerate_partitions(9):
             eigs = spectra.star_eigenvalues(lam)
-            d2 = spectra.rt_eigenvalue(lam).mult
-            assert sum(e.mult for e in eigs) == d2
+            d2 = exact_dim(spectra.rt_eigenvalue(lam).lam) ** 2
+            assert sum(exact_dim(e.lam) * exact_dim(e.reduced) for e in eigs) == d2
 
 
 class TestFullSpectrum:
