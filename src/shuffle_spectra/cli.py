@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import profiles, spectra
-from .partitions import MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N
+from .partitions import MAX_EXACT_PRODUCT_N
 
 SEP = ";"
 
@@ -99,8 +99,8 @@ def _cmd_compare(args):
 def _verify_checks(n):
     """Identity suite at deck size n. Yields (name, "pass"/"fail"/"skip").
 
-    Only the last three checks build matrices; they import exact_chain, and with
-    it scipy, once, and only at n <= MAX_EXACT_PRODUCT_N.
+    Only the last three checks read matrices: one star and one rt matrix, built
+    through exact_chain, and with it scipy, only at n <= MAX_EXACT_PRODUCT_N.
     """
     blocks = spectra.blocks(n)
     # each corner's d_corner and s_bar by (partition, row), for the transpose pairings
@@ -137,14 +137,10 @@ def _verify_checks(n):
         yield f"completeness-{chain}", status(
             spectra.total_multiplicity(chain, n) == math.factorial(n)
         )
-    if n <= spectra.EXACT_TRACE_CAP:
-        for chain in spectra.CHAINS:
-            yield f"trace-{chain}", status(
-                spectra.spectrum_trace(chain, n) == Fraction(math.factorial(n - 1))
-            )
-    else:
-        yield "trace-rt", "skip"
-        yield "trace-star", "skip"
+    for chain in spectra.CHAINS:
+        yield f"trace-{chain}", status(
+            spectra.spectrum_trace(chain, n) == Fraction(math.factorial(n - 1))
+        )
     # s = 1/n + (n-1) r / n and s_bar = (lam_i - i + 1) / n, so r' = -r and
     # r_bar' = -r_bar read s' + s = 2/n and s_bar' + s_bar = 2/n
     two_n = Fraction(2, n)
@@ -153,43 +149,38 @@ def _verify_checks(n):
         for lam, lam_t, _, _, cs in blocks for row, _, sb in cs
     )
     yield "transpose-antisymmetry", status(ok)
-    if n > MAX_EXACT_PRODUCT_N:  # the highest of the matrix checks' caps
+    if n > MAX_EXACT_PRODUCT_N:  # the commutation check's cap, for all three
         for name in ("commutation", "spectrum-vs-numeric", "comparison-inequality"):
             yield name, "skip"
         return
     from . import exact_chain
-    yield "commutation", status(exact_chain.commutation_check(n))
-    if n <= 5:
+    mats = {chain: exact_chain.build_matrix(chain, n) for chain in spectra.CHAINS}
+    yield "commutation", status(exact_chain.exact_commutes(mats["star"], mats["rt"]))
+    if n <= 5:  # two dense eigensolves take 0.07 s at n = 6, ten times the rest of verify
         ok = True
         for chain in spectra.CHAINS:
-            numeric = exact_chain.numeric_eig_multiset(exact_chain.build_matrix(chain, n))
+            numeric = exact_chain.numeric_eig_multiset(mats[chain])
             rows = spectra.spectrum_rows(chain, n)
             formula = np.sort(
                 np.repeat([float(e) for lam, e, m in rows], [m for lam, e, m in rows])
             )
-            if numeric.size != formula.size or np.abs(numeric - formula).max() > 1e-8:
-                ok = False
+            ok &= numeric.size == formula.size and np.abs(numeric - formula).max() <= 1e-8
         yield "spectrum-vs-numeric", status(ok)
     else:
         yield "spectrum-vs-numeric", "skip"
-    if n <= MAX_DENSE_EIG_N:
-        # 2 TV(rt^t, star^t*) <= rhs on the grid t, t* = 0..20, each side in one
-        # pass; both walks are diagonal in the Young basis, so by Plancherel
-        # n! |dq - dp|^2 = rhs^2, to rounding on the scale of both sides' terms
-        p = exact_chain.build_matrix("star", n)
-        q = exact_chain.build_matrix("rt", n)
-        dp = np.array([exact_chain.evolve(p, 0, t) for t in range(21)])
-        dq = np.array([exact_chain.evolve(q, 0, t) for t in range(21)])
-        diff = dq[:, None] - dp[None]
-        ts = np.arange(21)
-        rhs = exact_chain.spectral_rhs(n, ts[:, None], ts)
-        f = math.factorial(n)
-        gap = np.abs(f * (diff * diff).sum(-1) - rhs * rhs)
-        scale = rhs * rhs + f * (((dq - 1 / f) ** 2).sum(-1)[:, None] + ((dp - 1 / f) ** 2).sum(-1))
-        ok = (np.abs(diff).sum(-1) <= rhs + 1e-10) & (gap <= 1e-12 * scale)
-        yield "comparison-inequality", status(bool(ok.all()))
-    else:
-        yield "comparison-inequality", "skip"
+    # 2 TV(rt^t, star^t*) <= rhs on the grid t, t* = 0..20, each side in one
+    # pass; both walks are diagonal in the Young basis, so by Plancherel
+    # n! |dq - dp|^2 = rhs^2, to rounding on the scale of both sides' terms
+    dp = np.array([exact_chain.evolve(mats["star"], 0, t) for t in range(21)])
+    dq = np.array([exact_chain.evolve(mats["rt"], 0, t) for t in range(21)])
+    diff = dq[:, None] - dp[None]
+    ts = np.arange(21)
+    rhs = exact_chain.spectral_rhs(n, ts[:, None], ts)
+    f = math.factorial(n)
+    gap = np.abs(f * (diff * diff).sum(-1) - rhs * rhs)
+    scale = rhs * rhs + f * (((dq - 1 / f) ** 2).sum(-1)[:, None] + ((dp - 1 / f) ** 2).sum(-1))
+    ok = (np.abs(diff).sum(-1) <= rhs + 1e-10) & (gap <= 1e-12 * scale)
+    yield "comparison-inequality", status(bool(ok.all()))
 
 
 def _cmd_verify(args):

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .partitions import MAX_BUILD_N, MAX_DENSE_EIG_N, MAX_EXACT_PRODUCT_N, check_n
+from .partitions import MAX_EXACT_PRODUCT_N, check_n
 from .profiles import _check_bound_n, _check_time, _comparison_sums, _float_if_0d
 
 EXACT_TV_T_CAP = 10_000
+MAX_BUILD_N = 8
+MAX_DENSE_EIG_N = 6
 
 
 @dataclass
@@ -223,7 +225,7 @@ def lemma_l2_check(n, t, t_star):
     lhs = 2 TV(rt^t, star^t*) and rhs = sqrt(sum d d_corner (s^t - sbar^t*)^2);
     lhs <= rhs must hold.
     """
-    n = check_n(n, 2, MAX_DENSE_EIG_N, "lemma_l2_check")
+    n = check_build_n(n)
     try:  # spectral_rhs would take arrays, evolve would not
         t, t_star = _check_time(t), _check_time(t_star)
     except TypeError as err:

@@ -13,11 +13,9 @@ import numpy as np
 
 PARTITION_CAP = 60  # p(60) = 966,467; p(70) is 4.1 M and p(100) 190 M
 EXACT_DIM_CAP = 30
-# the exact engine's guards, kept here so that callers can test them without
-# importing exact_chain and with it scipy
-MAX_BUILD_N = 8
+# exact_chain's cap on matrix products, here so that cli can gate verify's
+# matrix checks without importing exact_chain and with it scipy
 MAX_EXACT_PRODUCT_N = 7
-MAX_DENSE_EIG_N = 6
 
 
 class SizeLimitError(ValueError):

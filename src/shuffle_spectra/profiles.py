@@ -21,14 +21,13 @@ from .partitions import PARTITION_CAP, _source, check_n, count_table
 POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
 PROFILE_C_MAX = 12.0
-BOUND_N_CAP = PARTITION_CAP  # the table reads every partition of n
 _PROFILE_GRID_CAP = 100_000
 _TAIL_EPS = 1e-13
 _LOG_DIFF_GUARD = 1e-13
 
 _NEG_INF = float("-inf")
-# log of every hook length; a hook never exceeds n <= BOUND_N_CAP
-_LOG_INT = np.array([_NEG_INF] + [math.log(k) for k in range(1, BOUND_N_CAP + 1)])
+# log of every hook length; a hook never exceeds n <= PARTITION_CAP
+_LOG_INT = np.array([_NEG_INF] + [math.log(k) for k in range(1, PARTITION_CAP + 1)])
 
 
 def _signed_pow(sign, log_abs, t):
@@ -390,12 +389,14 @@ def _spectral_table(n):
 
 
 def _check_bound_n(n):
-    return check_n(n, 2, BOUND_N_CAP, "spectral sums")
+    return check_n(n, 2, PARTITION_CAP, "spectral sums")  # the table reads every partition of n
 
 
 def _check_truncation(n, truncation_m):
+    truncation_m = operator.index(truncation_m)  # a float or a string raises TypeError
     if not 1 <= truncation_m <= n // 2:
         raise ValueError(f"truncation rank must be in [1, {n // 2}]")
+    return truncation_m
 
 
 def _comparison_sums(n, t, t_star, truncation_m):
@@ -445,7 +446,7 @@ def comparison_bound(n, c, truncation_m=None):
     t, t_star = cutoff_times(n, c)
     if truncation_m is None:
         truncation_m = min(5, n // 2)
-    _check_truncation(n, truncation_m)
+    truncation_m = _check_truncation(n, truncation_m)
     log_total_sq, parts = _comparison_sums(n, t, t_star, truncation_m)
     total = 0.5 * math.exp(0.5 * log_total_sq)
     return BoundReport(n, c, t, t_star, total, parts, truncation_m)

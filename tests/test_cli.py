@@ -153,7 +153,7 @@ class TestVerify:
         code, out = run_cli(["verify", "--n", str(n)], capsys)
         status = dict(line.split(";") for line in out.splitlines()[1:])
         assert code == 0 and "fail" not in status.values()
-        assert status["comparison-inequality"] == ("pass" if n <= 6 else "skip")
+        assert status["comparison-inequality"] == "pass"
 
     def test_comparison_inequality_negative_control(self, monkeypatch, capsys):
         # a right-hand side of zero is below 2 TV(rt^t, star^t*) off t = t* = 0
@@ -166,7 +166,7 @@ class TestVerify:
         assert code == 1
         assert [name for name, st in status.items() if st == "fail"] == ["comparison-inequality"]
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_comparison_identity_negative_control(self, n, monkeypatch, capsys):
         # a right-hand side 1e-6 too large still bounds 2 TV(rt^t, star^t*),
         # but breaks n! |rt^t - star^t*|^2 = rhs^2
@@ -227,6 +227,19 @@ class TestVerify:
         assert spectra.blocks.cache_info().misses == misses + 1
         # one call per shape of n and n - 1: p(30) + p(29) = 5,604 + 4,565
         assert len(calls) == len(set(calls)) == 10_169
+
+    @pytest.mark.parametrize("n, builds", [(5, 2), (6, 2), (7, 2), (8, 0)])
+    def test_one_matrix_per_chain_per_run(self, n, builds, monkeypatch, capsys):
+        calls = []
+        build = exact_chain.build_matrix
+
+        def counted(chain, n):
+            calls.append(chain)
+            return build(chain, n)
+
+        monkeypatch.setattr(exact_chain, "build_matrix", counted)
+        assert run_cli(["verify", "--n", str(n)], capsys)[0] == 0
+        assert len(calls) == len(set(calls)) == builds
 
 
 class TestBound:
@@ -395,8 +408,9 @@ class TestOutputModes:
 # (the spectrum and verify --n 13 entries: before the dimension helpers were
 # folded into exact_dim; the n = 48 and n = 60 entries, the sizes the benchmark
 # and CI run: before the table build became one pass; verify --n 30 and the
-# spectrum digests at n = 30, the exact cap: before spectra.blocks); any change
-# to these bytes is a change to the program's output.
+# spectrum digests at n = 30, the exact cap: before spectra.blocks; the verify
+# entries' two trace rows read skip while the exact trace stopped at n = 12);
+# any change to these bytes is a change to the program's output.
 GOLDEN = {
     "bound --n 60 --c -1": (
         "n;c;t;tstar;total;term1;term2;term3;term4\n"
@@ -536,8 +550,8 @@ GOLDEN = {
         "corner-bounds;pass\n"
         "completeness-rt;pass\n"
         "completeness-star;pass\n"
-        "trace-rt;skip\n"
-        "trace-star;skip\n"
+        "trace-rt;pass\n"
+        "trace-star;pass\n"
         "transpose-antisymmetry;pass\n"
         "commutation;skip\n"
         "spectrum-vs-numeric;skip\n"

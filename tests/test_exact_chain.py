@@ -491,9 +491,16 @@ class TestLemmaInequality:
         _, rhs = ec.lemma_l2_check(5, 4, 8)
         assert rhs == formula
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_cutoff_times_up_to_build_cap(self, n, c):
+        t, t_star = pr.cutoff_times(n, c)
+        lhs, rhs = ec.lemma_l2_check(n, t, t_star)
+        assert lhs <= rhs
+
     def test_guards(self):
-        with pytest.raises(SizeLimitError):
-            ec.lemma_l2_check(7, 1, 1)
+        with pytest.raises(SizeLimitError, match="matrix construction limited to 2 <= n <= 8"):
+            ec.lemma_l2_check(9, 1, 1)
         with pytest.raises(ValueError):
             ec.lemma_l2_check(4, -1, 0)
         for t, t_star in ((-1, 3), (3, -2)):

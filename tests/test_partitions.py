@@ -124,9 +124,9 @@ class TestEnumeration:
         # the check comes before the source is built
         monkeypatch.setattr(partitions, "_source", None)
         with pytest.raises(SizeLimitError):
-            enumerate_partitions(profiles.BOUND_N_CAP + 1)
+            enumerate_partitions(partitions.PARTITION_CAP + 1)
         with pytest.raises(SizeLimitError):
-            next(partitions.partition_blocks(profiles.BOUND_N_CAP + 1, 1))
+            next(partitions.partition_blocks(partitions.PARTITION_CAP + 1, 1))
 
     @pytest.mark.parametrize("n", range(36))
     def test_matches_generator(self, n):

@@ -364,6 +364,18 @@ class TestBoundDecomposition:
         with pytest.raises(ValueError):
             pr.bound_decomposition(30, 0.0, 16)
 
+    @pytest.mark.parametrize("m", [4.5, 3.0, "3"])
+    def test_non_integer_truncation_refused(self, m):
+        # 4.5 once gave M = 5's terms, labelled 4.5
+        with pytest.raises(TypeError):
+            pr.comparison_bound(30, 0.0, m)
+        with pytest.raises(TypeError):
+            pr.bound_decomposition(30, 0.0, m)
+
+    def test_numpy_integer_truncation(self):
+        rep = pr.comparison_bound(30, 0.0, np.int64(3))
+        assert rep == pr.comparison_bound(30, 0.0, 3) and type(rep.truncation_m) is int
+
 
 class TestL2Bound:
     def test_t_zero_value(self):

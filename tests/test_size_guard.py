@@ -85,7 +85,7 @@ ENTRY_POINTS = {
     "blocks": (2, 30, 6, spectra.blocks, _no_blocks),
     "spectrum_rows": (2, 30, 6, lambda n: spectra.spectrum_rows("star", n), _no_blocks),
     "total_multiplicity": (2, 30, 6, lambda n: spectra.total_multiplicity("rt", n), _no_blocks),
-    "spectrum_trace": (2, 12, 6, lambda n: spectra.spectrum_trace("star", n), _no_blocks),
+    "spectrum_trace": (2, 30, 6, lambda n: spectra.spectrum_trace("star", n), _no_blocks),
     "comparison_bound": (2, 60, 6, lambda n: profiles.comparison_bound(n, 0.5), _no_table),
     "bound_decomposition": (
         2, 60, 6, lambda n: profiles.bound_decomposition(n, 0.5, 2), _no_table,
@@ -102,7 +102,7 @@ ENTRY_POINTS = {
     "numeric_eig_multiset": (
         2, 6, 4, lambda n: ec.numeric_eig_multiset(_relabel("rt", n)).tolist(), _no_given_matrix,
     ),
-    "lemma_l2_check": (2, 6, 4, lambda n: ec.lemma_l2_check(n, 3, 5), _no_table_or_matrix),
+    "lemma_l2_check": (2, 8, 4, lambda n: ec.lemma_l2_check(n, 3, 5), _no_table_or_matrix),
 }
 
 

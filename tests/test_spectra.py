@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -116,7 +117,7 @@ class TestFullSpectrum:
         assert spectra.total_multiplicity(chain, n) == math.factorial(n)
 
     @pytest.mark.parametrize("chain", spectra.CHAINS)
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", [*range(2, 14), 20, 30])
     def test_trace(self, chain, n):
         assert spectra.spectrum_trace(chain, n) == Fraction(math.factorial(n - 1))
 
@@ -126,8 +127,10 @@ class TestFullSpectrum:
                 rows("riffle", 4)
 
     def test_trace_guard(self):
-        with pytest.raises(ValueError):
-            spectra.spectrum_trace("rt", 13)
+        # the trace reads blocks(n), so it stops where blocks does
+        for chain in spectra.CHAINS:
+            with pytest.raises(SizeLimitError, match=re.escape("limited to 2 <= n <= 30")):
+                spectra.spectrum_trace(chain, 31)
 
 
 class TestAsymptotics:
