@@ -1,4 +1,4 @@
-"""Exact brute-force engine over S_n for small n.
+"""Exact engine over S_n for small n.
 
 Permutations are tuples over {0, ..., n-1}; sigma[i] is the card at position i.
 One shuffle step multiplies on the right by a uniformly chosen generator, so a
@@ -7,8 +7,18 @@ lexicographic rank (identity has rank 0).
 
 Transition matrices are stored as integer sparse matrices scaled by n^k, so
 stochasticity, symmetry and commutation can be checked exactly.
+
+`evolve` walks the lumped chain. Random transpositions is invariant under
+conjugation by S_n, and star transpositions under conjugation by the
+permutations that fix position 0, so each walk from the identity has a law
+that is constant on orbits: cycle types for rt (p(n) of them), and cycle
+types with the length of 0's cycle marked for star (p(0) + ... + p(n-1)).
+The orbit matrix K, one integer row per orbit read from the n! matrix, steps
+that law exactly as the full matrix steps the distribution (Kemeny and Snell,
+Finite Markov Chains, 1960, on lumpability).
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -32,10 +42,14 @@ class SparseScaledMatrix:
     n: int
     scale: int
     mat: sparse.csr_matrix  # int64 entries
-    # (start, t, d): the last distribution evolve computed on this matrix
+    # "rt" or "star" when build_matrix made it: the orbits evolve lumps by
+    chain: str = field(default=None, repr=False, compare=False)
+    # float orbit operator K / n^scale, built by the first step evolve takes on it
+    _orbit_op: object = field(default=None, init=False, repr=False, compare=False)
+    # (t, law): the last orbit law evolve computed on this matrix
     _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
-    # float CSR operator of mat, built by the first step taken on it
-    _op: object = field(default=None, init=False, repr=False, compare=False)
+    # (start, index): the orbit of start^-1 x for every rank x, for the last start
+    _lift: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def denom(self):
@@ -48,45 +62,54 @@ class SparseScaledMatrix:
         return (self.mat != self.mat.T).nnz == 0
 
 
-def _swap_maps(n, pairs):
+def _swap_maps(n, pairs, out=None):
     """Rank maps pi[x] = rank(x * (a b)) over S_n for each swap (a, b) in pairs,
-    a < b, from the lexicographic block structure one level down."""
+    a < b, from the lexicographic block structure one level down. Each map is
+    written into out[a, b], an int32 array of n! entries, if out is given."""
+    m = math.factorial(n)
+    if out is None:
+        out = {p: np.empty(m, dtype=np.int32) for p in pairs}
     below = {(a - 1, b - 1) for a, b in pairs if a} | {(0, b - 1) for a, b in pairs if b > 1}
     prev = _swap_maps(n - 1, below) if below else {}
-    f = math.factorial(n - 1)
-    base = np.repeat(np.arange(0, n * f, f, dtype=np.int32), f)
-    # a swap that keeps the first card acts one level down in each block
-    keep = {(a + 1, b + 1): base + np.tile(pi, n) for (a, b), pi in prev.items()}
-    maps = {}
+    f = m // n
+    base = np.arange(0, m, f, dtype=np.int32)[:, None]
+
+    def keep(a, b, dst):
+        # a swap that keeps the first card acts one level down in each block
+        np.add(base, prev[a - 1, b - 1], out=dst.reshape(n, f))
+        return dst
+
+    for a, b in pairs:
+        if a:
+            keep(a, b, out[a, b])
     if any(a == 0 for a, _ in pairs):
         # (0 1) on the first two mixed-radix digits of the rank
         g = f // (n - 1)
-        r = np.arange(n * f, dtype=np.int32)
+        r = np.arange(m, dtype=np.int32)
         d0, d1 = r // f, r // g % (n - 1)
-        maps[0, 1] = (d1 + (d1 >= d0)) * f + (d0 - (d0 > d1)) * g + r % g
-    for a, b in pairs:
-        if a:
-            maps[a, b] = keep[a, b]
-        elif b > 1:  # (0 b) = (1 b)(0 1)(1 b)
-            maps[a, b] = keep[1, b][maps[0, 1][keep[1, b]]]
-    return {p: maps[p] for p in pairs}
+        m01 = out[0, 1] if (0, 1) in out else np.empty(m, dtype=np.int32)
+        np.add((d1 + (d1 >= d0)) * f + (d0 - (d0 > d1)) * g, r % g, out=m01)
+        for a, b in pairs:
+            if not a and b > 1:  # (0 b) = (1 b)(0 1)(1 b)
+                k1b = out[1, b] if (1, b) in out else keep(1, b, np.empty(m, dtype=np.int32))
+                np.take(k1b, m01.take(k1b), out=out[a, b], mode="clip")
+    return out
 
 
-def _build_from_weights(n, ident, pairs, weight, scale):
+def _build_from_weights(n, ident, pairs, weight, scale, chain=None):
     """Right-multiplication walk: weight ident on the identity and weight on
     each swap (a, b) in pairs."""
     m = math.factorial(n)
     k = len(pairs) + 1
     bits = (k - 1).bit_length()
-    maps = _swap_maps(n, pairs)
-    # int32 keys col << bits | generator, filled one generator per row; a
-    # state's columns are distinct, so sorting each state's keys gives
-    # canonical CSR with no duplicates to sum
+    # int32 keys col << bits | generator, one generator per row, each swap's
+    # map written straight into its row; a state's columns are distinct, so
+    # sorting each state's keys gives canonical CSR with no duplicates to sum
     block = np.empty((k, m), dtype=np.int32)
-    np.left_shift(np.arange(m, dtype=np.int32), bits, out=block[0])
-    for j, pair in enumerate(pairs, start=1):
-        np.left_shift(maps.pop(pair), bits, out=block[j])
-        block[j] |= j
+    block[0] = np.arange(m, dtype=np.int32)
+    _swap_maps(n, pairs, dict(zip(pairs, block[1:])))
+    block <<= bits
+    block[1:] |= np.arange(1, k, dtype=np.int32)[:, None]
     keys = np.ascontiguousarray(block.T)
     keys.sort(axis=1)
     keys = keys.ravel()
@@ -95,7 +118,7 @@ def _build_from_weights(n, ident, pairs, weight, scale):
     data = np.where(keys, np.int64(weight), np.int64(ident))
     indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
     mat = sparse.csr_matrix((data, cols, indptr), shape=(m, m))
-    return SparseScaledMatrix(n, scale, mat)
+    return SparseScaledMatrix(n, scale, mat, chain)
 
 
 def check_build_n(n):
@@ -111,9 +134,9 @@ def build_matrix(chain, n):
     """
     n = check_build_n(n)
     if chain == "rt":
-        return _build_from_weights(n, n, list(itertools.combinations(range(n), 2)), 2, 2)
+        return _build_from_weights(n, n, list(itertools.combinations(range(n), 2)), 2, 2, chain)
     if chain == "star":
-        return _build_from_weights(n, 1, [(0, j) for j in range(1, n)], 1, 1)
+        return _build_from_weights(n, 1, [(0, j) for j in range(1, n)], 1, 1, chain)
     raise ValueError(f"unknown chain {chain!r}")
 
 
@@ -127,37 +150,122 @@ def build_skewed_matrix(n):
     return _build_from_weights(n, 1, [(0, 1)], n - 1, 1)
 
 
+@functools.cache
+def _lex_perms(n):
+    """Every permutation of range(n) as an int8 row, in rank order: (n!, n)."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, n + 1):
+        # first card v, then a permutation of k - 1 cards with v skipped
+        first = np.arange(k, dtype=np.int8)
+        block = np.empty((k, len(perms), k), dtype=np.int8)
+        block[:, :, 0] = first[:, None]
+        np.add(perms, perms >= first[:, None, None], out=block[:, :, 1:])
+        perms = block.reshape(-1, k)
+    perms.flags.writeable = False  # cached: every caller sees this array
+    return perms
+
+
+def _ranks(perms):
+    """Rank of each row of an (m, n) int8 permutation array, by its Lehmer code."""
+    m, n = perms.shape
+    cols = perms.T.copy()
+    rank = np.zeros(m, dtype=np.intp)
+    for i in range(n - 1):
+        rank *= n - i
+        for j in range(i + 1, n):
+            rank += cols[j] < cols[i]
+    return rank
+
+
+def _orbit_keys(perms):
+    """(rt key, star key) of each row of an (m, n) int8 permutation array.
+
+    The rt key sums (n + 1)^(l - 1) over the n points, l the length of the
+    point's cycle, so it fixes the cycle type; the star key adds the length
+    of 0's cycle. Lengths above n/2 are all counted as n/2 + 1: at most one
+    cycle is that long, and its points are exactly the ones counted so.
+    """
+    m, n = perms.shape
+    # flat index of x(i) in row x: one gather steps every point at once
+    succ = perms.astype(np.intp)
+    succ += np.arange(0, m * n, n)[:, None]
+    succ = succ.ravel()
+    home = np.arange(m * n)
+    moving = succ != home
+    longer = moving.astype(np.int8)  # min(cycle length, n/2 + 1) - 1 of each point
+    pos = succ
+    for _ in range(n // 2 - 1):
+        pos = succ[pos]
+        moving &= pos != home
+        longer += moving
+    weights = float(n + 1) ** np.arange(n)  # exact in float64 for n <= 8
+    rt = (weights[longer].reshape(m, n) @ np.ones(n)).astype(np.int64)
+    return rt, rt * n + longer[::n]
+
+
+@functools.cache
+def _orbits(n):
+    """{chain: (labels, sizes, reps)} over S_n: labels[x] is the orbit of
+    rank x, sizes[o] the number of ranks in orbit o and reps[o] its lowest."""
+    out = {}
+    for chain, key in zip(("rt", "star"), _orbit_keys(_lex_perms(n))):
+        _, reps, labels, sizes = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        for cached in (labels, sizes, reps):
+            cached.flags.writeable = False
+        out[chain] = labels, sizes, reps
+    return out
+
+
+def _orbit_matrix(matrix, labels, reps):
+    """Integer orbit matrix: row o is row reps[o] of the n! matrix, summed by
+    the orbit labels of its columns."""
+    rows = matrix.mat[reps]
+    k = len(reps)
+    # toarray sums the entries that land on one orbit
+    return sparse.csr_matrix((rows.data, labels[rows.indices], rows.indptr), shape=(k, k)).toarray()
+
+
+def _start_index(n, labels, start):
+    """The orbit of start^-1 x for every rank x, from each rank's orbit label:
+    the law from start at x is the law from the identity at start^-1 x."""
+    if start == 0:
+        return labels
+    perms = _lex_perms(n)
+    inverse = np.argsort(perms[start]).astype(np.int8)
+    return labels[_ranks(inverse[perms])]
+
+
 def evolve(matrix, start, t):
     """Distribution after t steps from the point mass at rank `start`.
 
-    Resumes from the last distribution computed on the same matrix when the
-    start matches and t has not gone back, so a curve over t costs one step per t.
-    The matrix must be symmetric, as every matrix built here is (each generator
-    is an involution carrying one weight): a step multiplies the distribution,
-    a row vector, by the matrix on the right, and is taken as the CSR
-    matrix times a column. Symmetry is not checked.
+    Walks the lumped chain of a build_matrix("rt" | "star") matrix: a float
+    step over its orbits (at most 45 at n = 8) from the identity's orbit,
+    lifted to the n! ranks by one gather through the orbit of start^-1 x.
+    Resumes from the last orbit law computed on the same matrix when t has
+    not gone back, whatever the start, so a curve over t costs one step per t.
     """
     start, t = operator.index(start), _check_time(t)
-    m = matrix.mat.shape[0]
-    if not 0 <= start < m:
+    if matrix.chain is None:
+        raise ValueError("evolve walks only the rt and star matrices of build_matrix")
+    if not 0 <= start < matrix.mat.shape[0]:
         raise ValueError("start rank out of range")
+    labels, sizes, reps = _orbits(matrix.n)[matrix.chain]
     cursor = matrix._cursor
-    if cursor is not None and cursor[0] == start and cursor[1] <= t:
-        _, t0, d = cursor
+    if cursor is not None and cursor[0] <= t:
+        t0, law = cursor
     else:
-        t0, d = 0, np.zeros(m)
-        d[start] = 1.0
-    if t > t0 and matrix._op is None:  # a repeated t needs no operator
-        # one copy: the float data shares the integer matrix's index arrays
-        mat = matrix.mat
-        data = np.multiply(mat.data, 1.0 / matrix.denom)
-        matrix._op = sparse.csr_matrix(
-            (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
-        )
+        t0, law = 0, np.zeros(len(sizes))
+        law[labels[0]] = 1.0
+    if t > t0 and matrix._orbit_op is None:  # a repeated t needs no operator
+        matrix._orbit_op = _orbit_matrix(matrix, labels, reps) / matrix.denom
     for _ in range(t - t0):
-        d = matrix._op @ d
-    matrix._cursor = (start, t, d)
-    return d.copy()
+        law = law @ matrix._orbit_op
+    matrix._cursor = (t, law)
+    if matrix._lift is None or matrix._lift[0] != start:
+        matrix._lift = (start, _start_index(matrix.n, labels, start))
+    return (law / sizes)[matrix._lift[1]]
 
 
 def tv_to_uniform(d):

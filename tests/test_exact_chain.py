@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,8 @@ from shuffle_spectra import exact_chain as ec
 from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, enumerate_partitions
+
+from partition_oracle import iter_partitions
 
 
 def binned_multiset(values, gap=1e-6):
@@ -217,6 +221,41 @@ def sparse_walk(m, start, t_max):
     return dists
 
 
+def fraction_walk(n, weights, denom, start, t_max):
+    """Exact oracle: every distribution up to t_max in rationals, state by
+    state, from the point mass at rank start; weights maps generator -> weight."""
+    perms = lex_order(n)
+    rank = lex_rank(n)
+    steps = [[(rank[tuple(p[g[i]] for i in range(n))], w) for g, w in weights.items()] for p in perms]
+    d = [Fraction(0)] * len(perms)
+    d[start] = Fraction(1)
+    dists = [d]
+    for _ in range(t_max):
+        nxt = [Fraction(0)] * len(perms)
+        for x, mass in enumerate(d):
+            if mass:
+                for y, w in steps[x]:
+                    nxt[y] += mass * w
+        d = [v / denom for v in nxt]
+        dists.append(d)
+    return dists
+
+
+def chain_weights(chain, n):
+    """Generator -> integer weight of build_matrix(chain, n), from the docstring."""
+    ident = tuple(range(n))
+    if chain == "rt":
+        return {ident: n, **{swap(ident, a, b): 2 for a, b in all_swaps(n)}}
+    return {ident: 1, **{swap(ident, 0, j): 1 for j in range(1, n)}}
+
+
+def assert_relative(got, want, rel=1e-13):
+    """Each entry within rel of the reference, relative to the reference;
+    an entry that is 0 in the reference must be 0."""
+    want = np.array([float(w) for w in want]) if isinstance(want, list) else want
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), np.abs(got - want).max()
+
+
 class TestEvolve:
     def test_point_mass_at_zero_steps(self):
         m = ec.build_matrix("star", 4)
@@ -249,25 +288,55 @@ class TestEvolve:
             assert np.abs(d - expect).max() < 1e-14
 
     @pytest.mark.parametrize("chain", ["rt", "star"])
+    def test_matches_exact_rational_walk(self, chain):
+        m = ec.build_matrix(chain, 4)
+        exact = fraction_walk(4, chain_weights(chain, 4), m.denom, 0, 40)
+        for t in range(41):
+            assert_relative(ec.evolve(m, 0, t), exact[t])
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    def test_start_translation(self, chain):
+        # the walk from s is the identity's walk translated: P(s w = x) = P(w = s^-1 x)
+        m = ec.build_matrix(chain, 4)
+        for start in (1, 5, 14, 23):
+            exact = fraction_walk(4, chain_weights(chain, 4), m.denom, start, 12)
+            for t in range(13):
+                assert_relative(ec.evolve(m, start, t), exact[t])
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_sparse_walk(self, chain, n):
+        m = ec.build_matrix(chain, n)
+        for start in (0, math.factorial(n) // 3):
+            for t, want in enumerate(sparse_walk(m, start, 40)):
+                assert_relative(ec.evolve(m, start, t), want)
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_fresh_walk_in_any_order(self, chain, n):
+        # a resumed walk takes the same float steps as a fresh twin's walk
         m = ec.build_matrix(chain, n)
         start = m.mat.shape[0] // 2
         expect = sparse_walk(m, start, 25)
         order = list(range(26)) + [25, 25, 24, 11, 11, 0, 7, 25]
         for t in order:
-            assert np.array_equal(ec.evolve(m, start, t), expect[t]), t
+            d = ec.evolve(m, start, t)
+            assert np.array_equal(d, ec.evolve(ec.build_matrix(chain, n), start, t)), t
+            assert_relative(d, expect[t])
 
     @pytest.mark.parametrize("chain", ["rt", "star"])
     def test_switching_start_and_back(self, chain):
         m = ec.build_matrix(chain, 5)
         walks = {s: sparse_walk(m, s, 12) for s in (0, 119)}
         for s, t in [(0, 5), (119, 7), (0, 9), (0, 12), (119, 3), (119, 8), (0, 2)]:
-            assert np.array_equal(ec.evolve(m, s, t), walks[s][t]), (s, t)
+            d = ec.evolve(m, s, t)
+            assert np.array_equal(d, ec.evolve(ec.build_matrix(chain, 5), s, t)), (s, t)
+            assert_relative(d, walks[s][t])
 
     def test_returned_array_not_shared(self):
         m = ec.build_matrix("star", 5)
-        expect = sparse_walk(m, 0, 6)
+        twin = ec.build_matrix("star", 5)
+        expect = {t: ec.evolve(twin, 0, t) for t in (4, 6)}
         d = ec.evolve(m, 0, 4)
         d[:] = 7.0
         assert np.array_equal(ec.evolve(m, 0, 4), expect[4])
@@ -276,46 +345,60 @@ class TestEvolve:
 
     def test_guards_with_warm_cursor(self):
         m = ec.build_matrix("rt", 4)
-        ec.evolve(m, 0, 5)
+        ec.evolve(m, 7, 5)
+        cursor, lift = m._cursor, m._lift
         with pytest.raises(ValueError):
             ec.evolve(m, 0, -1)
         for start in (-1, 24):
             with pytest.raises(ValueError):
                 ec.evolve(m, start, 5)
-        assert np.array_equal(ec.evolve(m, 0, 5), sparse_walk(m, 0, 5)[5])
+        for start, t in ((0.5, 5), (7, 5.0)):
+            with pytest.raises(TypeError):
+                ec.evolve(m, start, t)
+        assert m._cursor is cursor and m._lift is lift
+        assert np.array_equal(ec.evolve(m, 7, 5), ec.evolve(ec.build_matrix("rt", 4), 7, 5))
 
     def test_equality_ignores_cursor(self):
         m = ec.build_matrix("star", 4)
         twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
-        ec.evolve(m, 0, 3)
-        assert m._cursor is not None and m._op is not None
-        assert twin._cursor is None and twin._op is None
+        ec.evolve(m, 3, 3)
+        assert m._cursor is not None and m._orbit_op is not None and m._lift is not None
+        assert twin._cursor is None and twin._orbit_op is None and twin._lift is None
+        assert m.chain == "star" and twin.chain is None
         assert m == twin
         assert repr(m) == repr(twin)
 
     def test_operator_built_once_per_matrix(self):
         m = ec.build_matrix("rt", 5)
         ec.evolve(m, 0, 0)
-        assert m._op is None  # no step taken, no operator
+        assert m._orbit_op is None  # no step taken, no operator
         ec.evolve(m, 0, 2)
-        op = m._op
+        op = m._orbit_op
         ec.evolve(m, 3, 4)
         ec.evolve(m, 1, 3)
-        assert m._op is op
-        assert op.data.dtype == np.float64
-        assert np.shares_memory(op.indices, m.mat.indices)
+        assert m._orbit_op is op
+        assert op.dtype == np.float64 and op.shape == (7, 7)  # p(5) cycle types
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_operator_data_is_scaled_integer_data(self, n):
-        for m in (ec.build_matrix("rt", n), ec.build_matrix("star", n), ec.build_skewed_matrix(n)):
+        for m in (ec.build_matrix("rt", n), ec.build_matrix("star", n)):
             ec.evolve(m, 0, 1)
-            want = m.mat.data.astype(np.float64) * (1.0 / m.denom)
-            assert np.array_equal(m._op.data, want)
-            assert np.shares_memory(m._op.indices, m.mat.indices)
+            labels, _, reps = ec._orbits(n)[m.chain]
+            k = ec._orbit_matrix(m, labels, reps)
+            assert k.dtype == np.int64
+            assert np.array_equal(m._orbit_op, k / m.denom)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_matrix_without_a_chain_refused(self, n):
+        # the skewed walk is not conjugacy-invariant, so it has no lumped chain
+        for m in (ec.build_skewed_matrix(n), ec.SparseScaledMatrix(n, 2, ec.build_matrix("rt", n).mat)):
+            with pytest.raises(ValueError, match="only the rt and star matrices"):
+                ec.evolve(m, 0, 1)
+            assert m._cursor is None and m._orbit_op is None and m._lift is None
 
     def test_bool_start_is_rank_one(self):
         m = ec.build_matrix("star", 4)
-        expect = sparse_walk(m, 1, 5)
+        expect = {t: ec.evolve(ec.build_matrix("star", 4), 1, t) for t in (2, 3, 5)}
         assert np.array_equal(ec.evolve(m, True, 3), expect[3])
         assert np.array_equal(ec.evolve(m, 1, 5), expect[5])
         assert np.array_equal(ec.evolve(m, np.int64(1), np.int64(2)), expect[2])
@@ -325,7 +408,118 @@ class TestEvolve:
         m = ec.build_matrix("star", 4)
         with pytest.raises(TypeError):
             ec.evolve(m, start, t)
-        assert m._cursor is None and m._op is None
+        assert m._cursor is None and m._orbit_op is None and m._lift is None
+
+
+def cycle_type(p):
+    """(cycle lengths in decreasing order, length of 0's cycle) of a permutation tuple."""
+    seen, lengths = set(), []
+    for i in range(len(p)):
+        length, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j, length = p[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True)), lengths[0]
+
+
+def z(lengths):
+    """z_mu: the order of the centraliser of a permutation of cycle type mu."""
+    out = 1
+    for k in set(lengths):
+        out *= k ** lengths.count(k) * math.factorial(lengths.count(k))
+    return out
+
+
+def orbit_oracle(chain, n):
+    """The orbit of each rank as a hashable: cycle type, and 0's cycle for star."""
+    types = [cycle_type(p) for p in lex_order(n)]
+    return [t if chain == "star" else t[0] for t in types]
+
+
+def rows_by_orbit(m, labels, k):
+    """Every row of the integer matrix summed by the orbit of its columns: (n!, k)."""
+    one_hot = sparse.csr_matrix(
+        (np.ones(len(labels), dtype=np.int64), labels, np.arange(len(labels) + 1)),
+        shape=(len(labels), k),
+    )
+    return (m.mat @ one_hot).toarray()
+
+
+class TestLumping:
+    """The orbit labels, sizes and integer orbit matrix evolve walks on."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_enumeration_is_rank_order(self, n):
+        perms = ec._lex_perms(n)
+        assert perms.dtype == np.int8
+        assert perms.tolist() == [list(p) for p in lex_order(n)]
+        assert np.array_equal(ec._ranks(perms), np.arange(len(perms)))
+        shuffled = perms[::-7]
+        assert np.array_equal(ec._ranks(shuffled), lehmer_ranks(shuffled))
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_labels_are_the_orbits(self, chain, n):
+        labels, sizes, reps = ec._orbits(n)[chain]
+        oracle = orbit_oracle(chain, n)
+        pairs = set(zip(labels.tolist(), oracle))
+        assert len(pairs) == len(set(oracle)) == len(sizes)  # one orbit per label
+        assert labels[0] == labels[reps[labels[0]]] and reps[labels[0]] == 0
+        assert np.array_equal(labels[reps], np.arange(len(sizes)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_counts(self, n):
+        p = [sum(1 for _ in iter_partitions(k)) for k in range(n + 1)]
+        orbits = ec._orbits(n)
+        assert len(orbits["rt"][1]) == p[n]
+        assert len(orbits["star"][1]) == sum(p[:n])
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_sizes(self, chain, n):
+        # n!/z_mu for a cycle type, (n - 1)!/z_mu for 0's cycle and mu the rest
+        labels, sizes, reps = ec._orbits(n)[chain]
+        perms = lex_order(n)
+        for size, rep in zip(sizes.tolist(), reps.tolist()):
+            lengths, zero = cycle_type(perms[rep])
+            if chain == "rt":
+                total, rest = math.factorial(n), list(lengths)
+            else:
+                total, rest = math.factorial(n - 1), list(lengths)
+                rest.remove(zero)
+            assert total % z(rest) == 0 and size == total // z(rest)
+        assert sum(sizes.tolist()) == math.factorial(n)
+        assert np.array_equal(np.bincount(labels), sizes)
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_row_lumps_to_its_orbit_row(self, chain, n):
+        m = ec.build_matrix(chain, n)
+        labels, sizes, reps = ec._orbits(n)[chain]
+        k = ec._orbit_matrix(m, labels, reps)
+        assert k.dtype == np.int64 and k.shape == (len(sizes), len(sizes))
+        assert np.array_equal(rows_by_orbit(m, labels, len(sizes)), k[labels])
+        assert np.all(k.sum(axis=1) == m.denom)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_skewed_matrix_does_not_lump(self, n):
+        # negative control: one transposition's walk is not conjugacy-invariant
+        m = ec.build_skewed_matrix(n)
+        for chain in ("rt", "star"):
+            labels, sizes, reps = ec._orbits(n)[chain]
+            k = ec._orbit_matrix(m, labels, reps)
+            assert np.all(k.sum(axis=1) == m.denom)
+            assert not np.array_equal(rows_by_orbit(m, labels, len(sizes)), k[labels])
+
+    def test_nothing_built_at_import(self):
+        code = (
+            "from shuffle_spectra import exact_chain as ec; "
+            "assert ec._orbits.cache_info().currsize == 0; "
+            "assert ec._lex_perms.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestTotalVariation:
