@@ -42,14 +42,12 @@ class SparseScaledMatrix:
     n: int
     scale: int
     mat: sparse.csr_matrix  # int64 entries
-    # "rt" or "star" when build_matrix made it: the orbits evolve lumps by
-    chain: str = field(default=None, repr=False, compare=False)
+    # "rt" or "star", set only by build_matrix: the orbits evolve lumps by
+    chain: str = field(default=None, init=False, repr=False, compare=False)
     # float orbit operator K / n^scale, built by the first step evolve takes on it
     _orbit_op: object = field(default=None, init=False, repr=False, compare=False)
     # (t, law): the last orbit law evolve computed on this matrix
     _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
-    # (start, index): the orbit of start^-1 x for every rank x, for the last start
-    _lift: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def denom(self):
@@ -117,8 +115,9 @@ def _build_from_weights(n, ident, pairs, weight, scale, chain=None):
     keys &= (1 << bits) - 1  # now the generator of each entry
     data = np.where(keys, np.int64(weight), np.int64(ident))
     indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
-    mat = sparse.csr_matrix((data, cols, indptr), shape=(m, m))
-    return SparseScaledMatrix(n, scale, mat, chain)
+    matrix = SparseScaledMatrix(n, scale, sparse.csr_matrix((data, cols, indptr), shape=(m, m)))
+    matrix.chain = chain
+    return matrix
 
 
 def check_build_n(n):
@@ -227,14 +226,18 @@ def _orbit_matrix(matrix, labels, reps):
     return sparse.csr_matrix((rows.data, labels[rows.indices], rows.indptr), shape=(k, k)).toarray()
 
 
-def _start_index(n, labels, start):
+@functools.lru_cache(maxsize=4)  # a TV curve from one start alternates rt and star
+def _start_index(n, chain, start):
     """The orbit of start^-1 x for every rank x, from each rank's orbit label:
     the law from start at x is the law from the identity at start^-1 x."""
+    labels = _orbits(n)[chain][0]
     if start == 0:
         return labels
     perms = _lex_perms(n)
     inverse = np.argsort(perms[start]).astype(np.int8)
-    return labels[_ranks(inverse[perms])]
+    index = labels[_ranks(inverse[perms])]
+    index.flags.writeable = False
+    return index
 
 
 def evolve(matrix, start, t):
@@ -247,7 +250,7 @@ def evolve(matrix, start, t):
     not gone back, whatever the start, so a curve over t costs one step per t.
     """
     start, t = operator.index(start), _check_time(t)
-    if matrix.chain is None:
+    if matrix.chain not in ("rt", "star"):
         raise ValueError("evolve walks only the rt and star matrices of build_matrix")
     if not 0 <= start < matrix.mat.shape[0]:
         raise ValueError("start rank out of range")
@@ -263,9 +266,7 @@ def evolve(matrix, start, t):
     for _ in range(t - t0):
         law = law @ matrix._orbit_op
     matrix._cursor = (t, law)
-    if matrix._lift is None or matrix._lift[0] != start:
-        matrix._lift = (start, _start_index(matrix.n, labels, start))
-    return (law / sizes)[matrix._lift[1]]
+    return (law / sizes)[_start_index(matrix.n, matrix.chain, start)]
 
 
 def tv_to_uniform(d):

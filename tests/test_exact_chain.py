@@ -346,7 +346,7 @@ class TestEvolve:
     def test_guards_with_warm_cursor(self):
         m = ec.build_matrix("rt", 4)
         ec.evolve(m, 7, 5)
-        cursor, lift = m._cursor, m._lift
+        cursor = m._cursor
         with pytest.raises(ValueError):
             ec.evolve(m, 0, -1)
         for start in (-1, 24):
@@ -355,15 +355,15 @@ class TestEvolve:
         for start, t in ((0.5, 5), (7, 5.0)):
             with pytest.raises(TypeError):
                 ec.evolve(m, start, t)
-        assert m._cursor is cursor and m._lift is lift
+        assert m._cursor is cursor
         assert np.array_equal(ec.evolve(m, 7, 5), ec.evolve(ec.build_matrix("rt", 4), 7, 5))
 
     def test_equality_ignores_cursor(self):
         m = ec.build_matrix("star", 4)
         twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
         ec.evolve(m, 3, 3)
-        assert m._cursor is not None and m._orbit_op is not None and m._lift is not None
-        assert twin._cursor is None and twin._orbit_op is None and twin._lift is None
+        assert m._cursor is not None and m._orbit_op is not None
+        assert twin._cursor is None and twin._orbit_op is None
         assert m.chain == "star" and twin.chain is None
         assert m == twin
         assert repr(m) == repr(twin)
@@ -391,10 +391,27 @@ class TestEvolve:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matrix_without_a_chain_refused(self, n):
         # the skewed walk is not conjugacy-invariant, so it has no lumped chain
-        for m in (ec.build_skewed_matrix(n), ec.SparseScaledMatrix(n, 2, ec.build_matrix("rt", n).mat)):
+        unknown = ec.build_matrix("rt", n)
+        unknown.chain = "rt2"
+        for m in (ec.build_skewed_matrix(n), ec.SparseScaledMatrix(n, 2, ec.build_matrix("rt", n).mat), unknown):
             with pytest.raises(ValueError, match="only the rt and star matrices"):
                 ec.evolve(m, 0, 1)
-            assert m._cursor is None and m._orbit_op is None and m._lift is None
+            assert m._cursor is None and m._orbit_op is None
+
+    def test_start_index_kept_across_curve_points(self):
+        # a TV curve from a nonzero start must not redo the 2.5 ms lift per point
+        m = ec.build_matrix("rt", 6)
+        ec.evolve(m, 100, 3)
+        index = ec._start_index(6, "rt", 100)
+        ec.evolve(ec.build_matrix("star", 6), 100, 3)
+        ec.evolve(m, 100, 4)
+        assert ec._start_index(6, "rt", 100) is index
+        assert not index.flags.writeable
+
+    def test_chain_is_not_a_constructor_argument(self):
+        # only build_matrix may say a matrix lumps: the skewed one must not pass as rt
+        with pytest.raises(TypeError):
+            ec.SparseScaledMatrix(4, 1, ec.build_skewed_matrix(4).mat, "rt")
 
     def test_bool_start_is_rank_one(self):
         m = ec.build_matrix("star", 4)
@@ -408,7 +425,7 @@ class TestEvolve:
         m = ec.build_matrix("star", 4)
         with pytest.raises(TypeError):
             ec.evolve(m, start, t)
-        assert m._cursor is None and m._orbit_op is None and m._lift is None
+        assert m._cursor is None and m._orbit_op is None
 
 
 def cycle_type(p):
