@@ -169,20 +169,15 @@ def _verify_checks(n):
     else:
         yield "spectrum-vs-numeric", "skip"
     # 2 TV(rt^t, star^t*) <= rhs on the grid t, t* = 0..20, each side in one
-    # pass; both walks are diagonal in the Young basis, so by Plancherel
-    # n! |dq - dp|^2 = rhs^2, to rounding on the scale of both sides' terms
-    dp = np.array([exact_chain.evolve(mats["star"], 0, t) for t in range(21)])
-    dq = np.array([exact_chain.evolve(mats["rt"], 0, t) for t in range(21)])
-    l1, sq = np.empty((2, 21, 21))
-    for i, row in enumerate(dq):  # one 21 x n! block of differences at a time
-        diff = row - dp
-        l1[i] = np.abs(diff).sum(-1)
-        sq[i] = (diff * diff).sum(-1)
+    # pass, the left one over star's orbits; both walks are diagonal in the
+    # Young basis, so by Plancherel n! |dq - dp|^2 = rhs^2, to rounding on the
+    # scale of both sides' terms
     ts = np.arange(21)
+    l1, sq, sq_q, sq_p = exact_chain._pair_sums(mats["star"], mats["rt"], ts, ts)
     rhs = exact_chain.spectral_rhs(n, ts[:, None], ts)
     f = math.factorial(n)
     gap = np.abs(f * sq - rhs * rhs)
-    scale = rhs * rhs + f * (((dq - 1 / f) ** 2).sum(-1)[:, None] + ((dp - 1 / f) ** 2).sum(-1))
+    scale = rhs * rhs + f * (sq_q[:, None] + sq_p)
     ok = (l1 <= rhs + 1e-10) & (gap <= 1e-12 * scale)
     yield "comparison-inequality", status(bool(ok.all()))
 

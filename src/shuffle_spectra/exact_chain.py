@@ -254,6 +254,12 @@ def evolve(matrix, start, t):
         raise ValueError("evolve walks only the rt and star matrices of build_matrix")
     if not 0 <= start < matrix.mat.shape[0]:
         raise ValueError("start rank out of range")
+    return _orbit_law(matrix, t)[_start_index(matrix.n, matrix.chain, start)]
+
+
+def _orbit_law(matrix, t):
+    """The law after t steps from the identity, as the mass of one rank in
+    each orbit; resumes from matrix._cursor when t has not gone back."""
     labels, sizes, reps = _orbits(matrix.n)[matrix.chain]
     cursor = matrix._cursor
     if cursor is not None and cursor[0] <= t:
@@ -266,22 +272,29 @@ def evolve(matrix, start, t):
     for _ in range(t - t0):
         law = law @ matrix._orbit_op
     matrix._cursor = (t, law)
-    return (law / sizes)[_start_index(matrix.n, matrix.chain, start)]
+    return law / sizes
+
+
+def _pair_sums(p, q, t, t_star):
+    """Sums over S_n between the rt walk q after each of t steps (rows) and
+    the star walk p after each of t_star steps (columns), both from the
+    identity: sum |q - p| and sum (q - p)^2, then sum (q - 1/n!)^2 by row and
+    sum (p - 1/n!)^2 by column. Star's orbits refine rt's, so each is a sum
+    over star's orbits weighted by their sizes, one row at a time, so that an
+    entry does not depend on the grid's shape."""
+    _, sizes, reps = _orbits(p.n)["star"]
+    rt_of = _orbits(q.n)["rt"][0][reps]  # the rt orbit of each star orbit
+    lq = np.array([_orbit_law(q, s)[rt_of] for s in t])
+    lp = np.array([_orbit_law(p, s) for s in t_star])
+    diff = lq[:, None] - lp
+    u = 1 / math.factorial(p.n)
+    return [(x * sizes).sum(-1) for x in (np.abs(diff), diff * diff, (lq - u) ** 2, (lp - u) ** 2)]
 
 
 def tv_to_uniform(d):
     """Total variation distance of a distribution vector from uniform."""
     d = np.asarray(d, dtype=float)
     return 0.5 * np.abs(d - 1.0 / d.size).sum()
-
-
-def tv_between(d1, d2):
-    """Total variation distance between two distribution vectors."""
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    if d1.shape != d2.shape:
-        raise ValueError("distributions live on different spaces")
-    return 0.5 * np.abs(d1 - d2).sum()
 
 
 def exact_commutes(m1, m2):
@@ -335,11 +348,10 @@ def lemma_l2_check(n, t, t_star):
     lhs <= rhs must hold.
     """
     n = check_build_n(n)
-    try:  # spectral_rhs would take arrays, evolve would not
+    try:  # spectral_rhs and _pair_sums would take arrays
         t, t_star = _check_time(t), _check_time(t_star)
     except TypeError as err:
         raise TypeError("lemma_l2_check takes scalar integer times") from err
     rhs = spectral_rhs(n, t, t_star)
-    p = build_matrix("star", n)
-    q = build_matrix("rt", n)
-    return 2.0 * tv_between(evolve(p, 0, t_star), evolve(q, 0, t)), rhs
+    l1 = _pair_sums(build_matrix("star", n), build_matrix("rt", n), (t,), (t_star,))[0]
+    return l1[0, 0], rhs

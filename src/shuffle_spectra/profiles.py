@@ -18,7 +18,6 @@ import numpy as np
 
 from .partitions import PARTITION_CAP, _source, check_n, count_table
 
-POISSON_MEAN_CAP = 50.0
 PROFILE_C_MIN = -8.0
 PROFILE_C_MAX = 12.0
 _PROFILE_GRID_CAP = 100_000
@@ -123,14 +122,6 @@ def _poisson_tv_raw(mu1, mu2):
     return min(max(0.5 * acc, 0.0), 1.0)
 
 
-def poisson_tv(mu1, mu2):
-    """TV distance between two Poisson laws with means in (0, 50]."""
-    for mu in (mu1, mu2):
-        if not 0.0 < mu <= POISSON_MEAN_CAP:
-            raise ValueError(f"Poisson mean must be in (0, {POISSON_MEAN_CAP}]")
-    return _poisson_tv_raw(mu1, mu2)
-
-
 def _check_time(t):
     """t as an int in [0, 2**63) (numpy integers and bools too); a float raises TypeError."""
     t = operator.index(t)
@@ -159,15 +150,15 @@ def profile_curve(c_min, c_max, step):
         raise ValueError(f"step must be finite and positive, got {step}")
     if c_min > c_max:
         raise ValueError("empty grid: c_min > c_max")
-    c_end = c_max + 1e-9  # the last point may overshoot c_max by rounding
+    c_end = c_max + 1e-9  # a point past c_max by rounding is read at c_max, and is the last
     if not (c_end - c_min) / step < _PROFILE_GRID_CAP:  # also catches nan
         raise ValueError(f"grid has more than {_PROFILE_GRID_CAP} points")
     points = []
     for k in itertools.count():
         c = c_min + k * step
-        if c > c_end:
+        if c > c_end or points and points[-1].c == c_max:
             return points
-        points.append(star_profile(c))
+        points.append(star_profile(min(c, c_max)))
 
 
 def cutoff_times(n, c):

@@ -267,6 +267,20 @@ class TestProfile:
         phi = profiles.star_profile(0.0).value
         assert lines == ["c;phi", f"0;{phi:.12g}"]
 
+    @pytest.mark.parametrize(
+        "c_min, c_max, step, rows",
+        [("-7.9", "12", "0.1", 200), ("-1.1", "12", "0.05", 263), ("0", "0", "3e-10", 1)],
+    )
+    def test_last_point_past_c_max_by_rounding(self, c_min, c_max, step, rows, capsys):
+        # c_min + k step lands a few ulps past c_max = 12, the window's edge,
+        # or, with a step below the 1e-9 slack, several times within it
+        argv = ["profile", "--c-min", c_min, "--c-max", c_max, "--step", step]
+        code, out = run_cli(argv, capsys)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 1 + rows
+        assert lines[-1].startswith(f"{c_max};")
+        assert lines[-1] == f"{c_max};{profiles.star_profile(float(c_max)).value:.12g}"
+
 
 class TestSpectrum:
     def test_star_n3_rows(self, capsys):

@@ -539,6 +539,11 @@ class TestLumping:
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def tv_pair(a, b):
+    """Oracle: total variation distance between two distribution vectors."""
+    return 0.5 * np.abs(np.asarray(a) - np.asarray(b)).sum()
+
+
 class TestTotalVariation:
     def test_point_mass_n3(self):
         d = np.zeros(6)
@@ -552,17 +557,15 @@ class TestTotalVariation:
         d1 = np.zeros(24)
         d1[5] = 1.0
         d2 = np.full(24, 1 / 24)
-        assert ec.tv_between(d1, d2) == pytest.approx(23 / 24, abs=1e-15)
+        assert tv_pair(d1, d2) == pytest.approx(23 / 24, abs=1e-15)
+        assert ec.tv_to_uniform(d1) == tv_pair(d1, d2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         a = rng.dirichlet(np.ones(24))
         b = rng.dirichlet(np.ones(24))
-        assert ec.tv_between(a, b) == ec.tv_between(b, a)
-
-    def test_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            ec.tv_between(np.ones(6), np.ones(24))
+        assert tv_pair(a, b) == tv_pair(b, a)
+        assert ec.tv_to_uniform(a) == pytest.approx(tv_pair(a, np.full(24, 1 / 24)), abs=1e-15)
 
     def test_star_tv_nonincreasing_n5(self):
         m = ec.build_matrix("star", 5)
@@ -596,7 +599,7 @@ class TestCommutation:
             ec.commutation_check(8)
 
 
-class TestJacobi:
+class TestNumericSpectra:
     @pytest.mark.parametrize("chain", ["rt", "star"])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_numeric_multiplicities_match_formula(self, chain, n):
@@ -677,7 +680,7 @@ class TestLemmaInequality:
         dq = [ec.evolve(q, 0, t) for t in range(21)]
         for t in range(21):
             for t_star in range(21):
-                lhs = 2.0 * ec.tv_between(dq[t], dp[t_star])
+                lhs = 2.0 * tv_pair(dq[t], dp[t_star])
                 assert lhs <= ec.spectral_rhs(5, t, t_star) + 1e-10
 
     def test_array_times_refused_before_any_work(self, monkeypatch):
@@ -788,6 +791,61 @@ class TestLemmaInequality:
             for args in ((bad, ts), (ts, bad), (bad, 1), (1, bad)):
                 with pytest.raises(error):
                     ec.spectral_rhs(5, *args)
+
+
+def lifted_pair_sums(n, ts):
+    """Oracle: the pair sums over all n! ranks of the walks from evolve."""
+    p, q = ec.build_matrix("star", n), ec.build_matrix("rt", n)
+    dp = np.array([ec.evolve(p, 0, t) for t in ts])
+    dq = np.array([ec.evolve(q, 0, t) for t in ts])
+    diff = dq[:, None] - dp
+    u = 1 / math.factorial(n)
+    return (
+        np.abs(diff).sum(-1),
+        (diff * diff).sum(-1),
+        ((dq - u) ** 2).sum(-1),
+        ((dp - u) ** 2).sum(-1),
+    )
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_star_orbits_lie_in_rt_orbits(self, n):
+        orbits = ec._orbits(n)
+        rt_labels = orbits["rt"][0]
+        star_labels, star_sizes, star_reps = orbits["star"]
+        # each star orbit's ranks all carry the rt label of its representative
+        assert np.array_equal(rt_labels, rt_labels[star_reps][star_labels])
+        assert star_sizes.sum() == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_grid_matches_lifted_sums(self, n):
+        ts = np.arange(21)
+        p, q = ec.build_matrix("star", n), ec.build_matrix("rt", n)
+        got = ec._pair_sums(p, q, ts, ts)
+        want = lifted_pair_sums(n, ts)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lemma_lhs_is_the_grid_entry(self, n):
+        ts = np.arange(21)
+        p, q = ec.build_matrix("star", n), ec.build_matrix("rt", n)
+        l1 = ec._pair_sums(p, q, ts, ts)[0]
+        for t, t_star in itertools.product((0, 1, 6, 13, 20), repeat=2):
+            lhs, _ = ec.lemma_l2_check(n, t, t_star)
+            assert lhs == l1[t, t_star]
+
+    def test_times_in_any_order(self):
+        # the walks restart when a time goes back; each entry keeps its bits
+        p, q = ec.build_matrix("star", 6), ec.build_matrix("rt", 6)
+        ts = np.array([9, 2, 17, 0, 2])
+        got = ec._pair_sums(p, q, ts, ts[::-1])
+        want = ec._pair_sums(p, q, np.arange(18), np.arange(18))
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g, w[np.ix_(ts, ts[::-1])])
+        assert np.array_equal(got[2], want[2][ts]) and np.array_equal(got[3], want[3][ts[::-1]])
 
 
 class TestSpectralTraceAgainstMatrix:
