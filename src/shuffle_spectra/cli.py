@@ -71,9 +71,10 @@ def _cmd_exact_tv(args):
 
     if args.t_max > exact_chain.EXACT_TV_T_CAP:
         raise ValueError(f"--t-max must be at most {exact_chain.EXACT_TV_T_CAP}")
-    matrix = exact_chain.build_matrix(args.chain, args.n)
+    exact_chain.check_build_n(args.n)  # a bad n is named before a bad time
     if args.t_max < 0:  # else the empty range below prints a bare header
         raise ValueError("t must be nonnegative")
+    matrix = exact_chain.build_matrix(args.chain, args.n)
     rows = [
         (args.n, args.chain, t, exact_chain.tv_to_uniform(exact_chain.evolve(matrix, 0, t)))
         for t in range(args.t_max + 1)

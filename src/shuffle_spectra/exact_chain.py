@@ -6,7 +6,9 @@ transposition generator swaps two fixed positions. States are indexed by their
 lexicographic rank (identity has rank 0).
 
 Transition matrices are stored as integer sparse matrices scaled by n^k, so
-stochasticity, symmetry and commutation can be checked exactly.
+stochasticity, symmetry and commutation can be checked exactly. Their entries
+are int8: a weight is at most n <= 8 and a row sums to n^k <= 64. Whatever
+sums or multiplies them widens first, to a type that holds the result.
 
 `evolve` walks the lumped chain. Random transpositions is invariant under
 conjugation by S_n, and star transpositions under conjugation by the
@@ -41,7 +43,7 @@ class SparseScaledMatrix:
 
     n: int
     scale: int
-    mat: sparse.csr_matrix  # int64 entries
+    mat: sparse.csr_matrix  # int8 entries
     # "rt" or "star", set only by build_matrix: the orbits evolve lumps by
     chain: str = field(default=None, init=False, repr=False, compare=False)
     # float orbit operator K / n^scale, built by the first step evolve takes on it
@@ -113,7 +115,7 @@ def _build_from_weights(n, ident, pairs, weight, scale, chain=None):
     keys = keys.ravel()
     cols = np.right_shift(keys, bits, out=block.ravel())
     keys &= (1 << bits) - 1  # now the generator of each entry
-    data = np.where(keys, np.int64(weight), np.int64(ident))
+    data = np.where(keys, np.int8(weight), np.int8(ident))
     indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
     matrix = SparseScaledMatrix(n, scale, sparse.csr_matrix((data, cols, indptr), shape=(m, m)))
     matrix.chain = chain
@@ -185,21 +187,19 @@ def _orbit_keys(perms):
     cycle is that long, and its points are exactly the ones counted so.
     """
     m, n = perms.shape
-    # flat index of x(i) in row x: one gather steps every point at once
-    succ = perms.astype(np.intp)
-    succ += np.arange(0, m * n, n)[:, None]
-    succ = succ.ravel()
-    home = np.arange(m * n)
-    moving = succ != home
+    points = np.arange(n, dtype=np.int8)
+    moving = perms != points
     longer = moving.astype(np.int8)  # min(cycle length, n/2 + 1) - 1 of each point
-    pos = succ
+    rows = np.arange(0, m * n, n, dtype=np.int32)[:, None]
+    power = perms
     for _ in range(n // 2 - 1):
-        pos = succ[pos]
-        moving &= pos != home
+        # x(x^k(i)) by one gather through int32 flat indices, an int8 result
+        power = perms.ravel().take(power + rows)
+        moving &= power != points
         longer += moving
-    weights = float(n + 1) ** np.arange(n)  # exact in float64 for n <= 8
-    rt = (weights[longer].reshape(m, n) @ np.ones(n)).astype(np.int64)
-    return rt, rt * n + longer[::n]
+    weights = (n + 1) ** np.arange(n // 2 + 1, dtype=np.int32)  # keys below 2^31 for n <= 8
+    rt = (weights[longer] @ np.ones(n, dtype=np.int32)).astype(np.int64)
+    return rt, rt * n + longer[:, 0]
 
 
 @functools.cache
@@ -222,8 +222,9 @@ def _orbit_matrix(matrix, labels, reps):
     the orbit labels of its columns."""
     rows = matrix.mat[reps]
     k = len(reps)
-    # toarray sums the entries that land on one orbit
-    return sparse.csr_matrix((rows.data, labels[rows.indices], rows.indptr), shape=(k, k)).toarray()
+    # toarray sums the entries that land on one orbit, in int64 as int8 could wrap
+    data = rows.data.astype(np.int64)
+    return sparse.csr_matrix((data, labels[rows.indices], rows.indptr), shape=(k, k)).toarray()
 
 
 @functools.lru_cache(maxsize=4)  # a TV curve from one start alternates rt and star
@@ -298,13 +299,18 @@ def tv_to_uniform(d):
 
 
 def exact_commutes(m1, m2):
-    """Exact integer check that the two scaled matrices commute."""
+    """Exact integer check that the two scaled matrices commute.
+
+    Multiplies in the narrowest signed type of int16, int32 and int64 that
+    holds n^(scale1 + scale2), the largest entry of either product and of each
+    partial sum; never int8, whose products could wrap and compare equal."""
     if m1.n != m2.n:
         raise ValueError("matrices over different groups")
-    check_n(m1.n, 2, MAX_EXACT_PRODUCT_N, "exact products")
-    ab = m1.mat @ m2.mat
-    ba = m2.mat @ m1.mat
-    return (ab != ba).nnz == 0
+    n = check_n(m1.n, 2, MAX_EXACT_PRODUCT_N, "exact products")
+    top = n ** (m1.scale + m2.scale)
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+    a, b = m1.mat.astype(dtype), m2.mat.astype(dtype)
+    return (a @ b != b @ a).nnz == 0
 
 
 def commutation_check(n):

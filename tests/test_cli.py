@@ -319,6 +319,17 @@ class TestExactTv:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "--t-max" in captured.err
 
+    @pytest.mark.parametrize("t_max", ["-1", "-3", str(exact_chain.EXACT_TV_T_CAP + 1)])
+    def test_rejected_time_builds_no_matrix(self, t_max, monkeypatch, capsys):
+        def built(chain, n):
+            raise AssertionError("built a matrix for a rejected time")
+
+        monkeypatch.setattr(exact_chain, "build_matrix", built)
+        code = cli.run(["exact-tv", "--chain", "rt", "--n", "8", "--t-max", t_max])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 COLD_START = f"""
 import contextlib, io, sys

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -167,7 +168,7 @@ class TestBuildMatrixOracle:
             assert built.n == n and built.scale == scale
             assert built.mat.has_canonical_format
             assert built.mat.indices.dtype == built.mat.indptr.dtype == np.int32
-            assert built.mat.dtype == np.int64
+            assert built.mat.dtype == np.int8
             assert np.array_equal(built.mat.toarray(), naive_matrix(n, weights))
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -193,7 +194,7 @@ class TestBuildMatrixOracle:
             oracle.sort_indices()
             mat = built.mat
             assert mat.has_canonical_format
-            assert mat.indptr.dtype == mat.indices.dtype == np.int32 and mat.data.dtype == np.int64
+            assert mat.indptr.dtype == mat.indices.dtype == np.int32 and mat.data.dtype == np.int8
             assert np.array_equal(mat.indptr, oracle.indptr)
             assert np.array_equal(mat.indices, oracle.indices)
             assert np.array_equal(mat.data, oracle.data)
@@ -582,7 +583,7 @@ class TestTotalVariation:
 
 
 class TestCommutation:
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_star_commutes_with_rt(self, n):
         assert ec.commutation_check(n)
 
@@ -590,6 +591,16 @@ class TestCommutation:
         star = ec.build_matrix("star", 3)
         skewed = ec.build_skewed_matrix(3)
         assert not ec.exact_commutes(star, skewed)
+
+    def test_products_do_not_wrap(self):
+        # AB = 256 e11 and BA = 256 e22 are equal mod 256: int8 products would match
+        a, b = (
+            ec.SparseScaledMatrix(2, 4, sparse.csr_matrix(np.array(x, dtype=np.int8)))
+            for x in ([[0, 16], [0, 0]], [[0, 0], [16, 0]])
+        )
+        assert a.mat.dtype == b.mat.dtype == np.int8
+        assert not ec.exact_commutes(a, b)
+        assert ec.exact_commutes(a, a)
 
     def test_skewed_is_symmetric(self):
         assert ec.build_skewed_matrix(3).is_symmetric_exact()
@@ -855,3 +866,37 @@ class TestSpectralTraceAgainstMatrix:
         trace = Fraction(int(m.mat.diagonal().sum()), m.denom)
         assert trace == spectra.spectrum_trace(chain, 4)
         assert trace == Fraction(math.factorial(3))
+
+
+def traced_mib(call):
+    """(peak, kept) MiB that call allocates under tracemalloc, which numpy
+    reports its array buffers to; kept is what the result still holds."""
+    tracemalloc.start()
+    try:
+        result = call()  # held, so that its memory counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, kept / 2**20
+
+
+class TestAllocationBudget:
+    """Allocation peaks of the exact engine's n!-wide steps. Each budget is
+    the figure measured with the narrow integer types (numpy 2.4, scipy 1.17)
+    plus about 10%; the figure with the wide ones is given beside it."""
+
+    def test_build_rt8(self):
+        peak, kept = traced_mib(lambda: ec.build_matrix("rt", 8))
+        assert peak <= 11.3  # measured 10.2 MiB; 18.0 MiB with int64 weights
+        # int32 columns and int8 weights, 29 entries per state
+        assert kept <= 6.3  # measured 5.75 MiB; 13.6 MiB with int64 weights
+
+    def test_orbits8(self):
+        ec._lex_perms(8)  # cached, and kept: not part of the labelling's peak
+        peak, _ = traced_mib(lambda: ec._orbits.__wrapped__(8))
+        assert peak <= 5.6  # measured 5.08 MiB; 10.8 MiB with intp flat indices
+
+    def test_exact_commutes7(self):
+        star, rt = ec.build_matrix("star", 7), ec.build_matrix("rt", 7)
+        peak, _ = traced_mib(lambda: ec.exact_commutes(star, rt))
+        assert peak <= 14.1  # measured 12.8 MiB; 18.4 MiB with int64 products
