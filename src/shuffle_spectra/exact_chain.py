@@ -59,7 +59,15 @@ class SparseScaledMatrix:
         return self.mat.toarray() / self.denom
 
     def is_symmetric_exact(self):
-        return (self.mat != self.mat.T).nnz == 0
+        """Whether mat equals its transpose, as CSR arrays with sorted
+        indices (mat's sorted in place), with no third matrix as scipy's !=
+        would build. Equal arrays are equal matrices; a stored zero could only
+        make a symmetric matrix compare unequal, never the reverse."""
+        a, b = self.mat, self.mat.T.tocsr()
+        a.sort_indices()
+        return all(
+            np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data")
+        )
 
 
 def _swap_maps(n, pairs, out=None):
@@ -295,22 +303,30 @@ def _pair_sums(p, q, t, t_star):
 def tv_to_uniform(d):
     """Total variation distance of a distribution vector from uniform."""
     d = np.asarray(d, dtype=float)
+    if d.size == 0:
+        raise ValueError("distribution vector is empty")
     return 0.5 * np.abs(d - 1.0 / d.size).sum()
 
 
 def exact_commutes(m1, m2):
     """Exact integer check that the two scaled matrices commute.
 
-    Multiplies in the narrowest signed type of int16, int32 and int64 that
-    holds n^(scale1 + scale2), the largest entry of either product and of each
-    partial sum; never int8, whose products could wrap and compare equal."""
+    One product [A, -B] [B; A] = AB - BA, zero exactly where every value it
+    stores is zero, so a stored zero can never give a false answer; scipy's
+    != on AB and BA built a third matrix beside both. Multiplies in the
+    narrowest signed type of int16, int32 and int64 that holds
+    n^(scale1 + scale2): that bounds every entry of AB and of BA, and as A
+    and B are nonnegative, every partial sum of AB - BA lies within it
+    either side of 0. Never int8, whose products could wrap and compare
+    equal."""
     if m1.n != m2.n:
         raise ValueError("matrices over different groups")
     n = check_n(m1.n, 2, MAX_EXACT_PRODUCT_N, "exact products")
     top = n ** (m1.scale + m2.scale)
     dtype = next(t for t in (np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
     a, b = m1.mat.astype(dtype), m2.mat.astype(dtype)
-    return (a @ b != b @ a).nnz == 0
+    diff = sparse.hstack([a, -b], format="csr") @ sparse.vstack([b, a], format="csr")
+    return not diff.data.any()
 
 
 def commutation_check(n):

@@ -10,7 +10,10 @@ import bisect
 import itertools
 import math
 import operator
+import queue
+import threading
 from collections import namedtuple
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -314,6 +317,44 @@ def _content_sums(n):
     return sums, lam1_t
 
 
+def _ahead(batches):
+    """Yield the items of the iterator batches in order, made on one worker
+    thread at most two items ahead of the caller. The worker ends before
+    this generator does: its exception re-raises here, and when the caller
+    stops early (an exception at the yield, or close()), the caller drains
+    the queue until the worker, which checks after each put, has stopped."""
+    out, stop = queue.Queue(2), threading.Event()
+
+    def work():
+        end = None
+        try:
+            for item in batches:
+                out.put((True, item))
+                if stop.is_set():
+                    break
+        except BaseException as exc:  # re-raised on the caller's thread
+            end = exc
+        out.put((False, end))
+
+    # joined below; daemon so that an interrupt during the drain cannot hold up exit
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    more = True
+    try:
+        while True:
+            more, item = out.get()
+            if not more:
+                break
+            yield item
+    finally:
+        stop.set()
+        while more:
+            more, _ = out.get()
+        worker.join()
+    if item is not None:
+        raise item
+
+
 @lru_cache(maxsize=1)
 def _spectral_table(n):
     """The spectral table of n, in read-only columns: per partition of n, in
@@ -327,9 +368,13 @@ def _spectral_table(n):
     by np.add.at in table order (the same bits in any batching). Each mu of
     n - 1 is lam - e_1 for one lam with lam_1 > lam_2: its log d, from lam's
     hooks less one in row 1, is stored at lam's index, and each corner reads
-    it at its lift lam - e_i + e_1, never a later partition. Only the latest
-    n is kept: callers evaluate one n at several times."""
+    it at its lift lam - e_i + e_1, never a later partition. With more than
+    one batch, the level recursion runs on a worker thread (_ahead), up to
+    two batches ahead of the log d and key sums here; it reads only the
+    cached _source(n) and count_table(n). Only the latest n is kept: callers
+    evaluate one n at several times."""
     first, _, off = _source(n)
+    count_table(n)  # cached here, so the worker only reads it
     lam1 = np.repeat(np.arange(n, 0, -1, dtype=np.int32), np.diff(off))
     sums, lam1_t = _content_sums(n)
     log_fact, log_red, cn2 = math.lgamma(n + 1), math.lgamma(n), n * (n - 1) // 2
@@ -342,21 +387,25 @@ def _spectral_table(n):
     pair = (np.cumsum(used, dtype=np.int32) - 1)[pair]  # its compact id
     cw = np.zeros(np.count_nonzero(used) * width)
     logd, logd_mu = np.empty(off[n]), np.empty(off[n])  # log d(lam - e_1) at lam
-    for lo, hooks, counts, lift, sbar_idx in _partition_rows(n):
-        hi = lo + len(hooks)
-        # log d of each lam, and of lam - e_1 where lam_1 > lam_2: row 1 less
-        # one before its corner
-        top = np.flatnonzero(lam1[lo:hi] > first[lo:hi])
-        boxes = np.empty((n, len(hooks) + len(top)), np.int8)
-        boxes[:, :len(hooks)] = hooks.T
-        boxes[:, len(hooks):] = hooks[top].T
-        boxes[:, len(hooks):] -= np.arange(n)[:, None] + 1 < lam1[lo:hi][top]
-        logs = np.repeat([log_fact, log_red], [len(hooks), len(top)])
-        for box in boxes:  # in a scalar walk's box order
-            logs -= _LOG_INT.take(box)
-        logd[lo:hi], logd_mu[top + lo] = logs[:len(hooks)], logs[len(hooks):]
-        weight = np.exp(np.repeat(logd[lo:hi], counts) + logd_mu[lift] - log_fact)
-        np.add.at(cw, np.repeat(pair[lo:hi], counts) * width + sbar_idx, weight)
+    batches = _partition_rows(n)
+    if off[n] > _TABLE_CHUNK:  # the next batch is made while this one is summed
+        batches = _ahead(batches)
+    with closing(batches):
+        for lo, hooks, counts, lift, sbar_idx in batches:
+            hi = lo + len(hooks)
+            # log d of each lam, and of lam - e_1 where lam_1 > lam_2: row 1 less
+            # one before its corner
+            top = np.flatnonzero(lam1[lo:hi] > first[lo:hi])
+            boxes = np.empty((n, len(hooks) + len(top)), np.int8)
+            boxes[:, :len(hooks)] = hooks.T
+            boxes[:, len(hooks):] = hooks[top].T
+            boxes[:, len(hooks):] -= np.arange(n)[:, None] + 1 < lam1[lo:hi][top]
+            logs = np.repeat([log_fact, log_red], [len(hooks), len(top)])
+            for box in boxes:  # in a scalar walk's box order
+                logs -= _LOG_INT.take(box)
+            logd[lo:hi], logd_mu[top + lo] = logs[:len(hooks)], logs[len(hooks):]
+            weight = np.exp(np.repeat(logd[lo:hi], counts) + logd_mu[lift] - log_fact)
+            np.add.at(cw, np.repeat(pair[lo:hi], counts) * width + sbar_idx, weight)
     pw = np.zeros(len(used))
     np.add.at(pw, pcell, np.exp(2.0 * logd - log_fact))
     pk, ck = np.flatnonzero(pw), np.flatnonzero(cw)

@@ -1,5 +1,8 @@
 import functools
+import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -669,10 +672,11 @@ class TestSpectralTable:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_boundaries(self, monkeypatch, chunk):
-        # the key weights too: np.add.at sums in table order in any batching
+        # the key weights too: np.add.at sums in table order in any batching;
+        # p(20) = 627 is one batch inline, and 627 or 90 through the worker
         want = pr._spectral_table.__wrapped__(20)
         monkeypatch.setattr(pr, "_TABLE_CHUNK", chunk)
-        got = pr._spectral_table.__wrapped__(20)
+        got = through_worker(monkeypatch, 20)
         for name, column in zip(want._fields, got):
             expected = getattr(want, name)
             assert column.dtype == expected.dtype, name
@@ -684,3 +688,118 @@ class TestSpectralTable:
         # the table holds no per-corner column
         assert not {"parent", "logd_red", "sbar_idx"} & set(tab._fields)
         assert not any(column.flags.writeable for column in tab)
+
+
+def through_worker(monkeypatch, n):
+    """_spectral_table(n) built anew, checking that it went through _ahead."""
+    calls, ahead = [], pr._ahead
+    monkeypatch.setattr(pr, "_ahead", lambda batches: calls.append(n) or ahead(batches))
+    table = pr._spectral_table.__wrapped__(n)
+    monkeypatch.setattr(pr, "_ahead", ahead)
+    assert calls == [n]
+    return table
+
+
+class FailAt:
+    """_LOG_INT for the caller's log d loop, raising exc at the call-th take."""
+
+    def __init__(self, call, exc):
+        self.calls, self.call, self.exc = 0, call, exc
+
+    def take(self, box):
+        self.calls += 1
+        if self.calls == self.call:
+            raise self.exc
+        return pr._LOG_INT.take(box)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestTablePipeline:
+    """The level recursion runs on one worker thread ahead of the log d and
+    key sums once p(n) > _TABLE_CHUNK, n >= 32; no thread outlives a build."""
+
+    @pytest.mark.parametrize("n", [32, 33, 48])
+    def test_matches_inline_build(self, monkeypatch, n):
+        # 32 is the first n with two batches
+        got = through_worker(monkeypatch, n)
+        monkeypatch.setattr(pr, "_ahead", lambda batches: batches)
+        want = pr._spectral_table.__wrapped__(n)
+        for name, column in zip(want._fields, got):
+            expected = getattr(want, name)
+            assert column.dtype == expected.dtype, name
+            assert column.tobytes() == expected.tobytes(), name
+
+    def test_worker_error_reraises(self, monkeypatch):
+        rows = pr._partition_rows
+
+        def failing(n):
+            batches = rows(n)
+            yield next(batches)
+            raise Boom("no second batch")
+
+        monkeypatch.setattr(pr, "_partition_rows", failing)
+        before = threading.enumerate()
+        with pytest.raises(Boom, match="^no second batch$"):
+            pr._spectral_table.__wrapped__(40)
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("exc", [ValueError("caller"), KeyboardInterrupt()])
+    def test_caller_error_stops_worker(self, monkeypatch, exc):
+        # the first take of the second batch, when the worker may wait on a full queue
+        monkeypatch.setattr(pr, "_LOG_INT", FailAt(48 + 1, exc))
+        before = threading.enumerate()
+        with pytest.raises(type(exc)):
+            pr._spectral_table.__wrapped__(48)
+        assert threading.enumerate() == before
+
+    def test_close_stops_worker(self):
+        before = threading.enumerate()
+        batches = pr._ahead(itertools.count())
+        assert [next(batches) for _ in range(5)] == [0, 1, 2, 3, 4]
+        # GeneratorExit at the yield, with the queue full; a worker left
+        # blocked on it would hang close(), so close() gets a thread of its own
+        closer = threading.Thread(target=batches.close, daemon=True)
+        closer.start()
+        closer.join(10)
+        assert not closer.is_alive()
+        assert threading.enumerate() == before
+
+    def test_order_under_fast_switching(self):
+        # every item once, in order, with a thread switch every microsecond
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert list(pr._ahead(iter(range(5_000)))) == list(range(5_000))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_reads_only_cached_sources(self, monkeypatch):
+        pr._source(40)
+        pr.count_table(8)  # _source(40) is cached, count_table(40) is not
+        misses = []
+        for name in ("_source", "count_table"):
+            cached = getattr(pr, name)
+
+            def spy(n, cached=cached):
+                before = cached.cache_info().misses
+                result = cached(n)
+                if threading.current_thread() is not threading.main_thread():
+                    misses.append(cached.cache_info().misses - before)
+                return result
+
+            monkeypatch.setattr(pr, name, spy)
+        through_worker(monkeypatch, 40)
+        assert misses == [0, 0]
+
+    @pytest.mark.parametrize("n", [2, 8, 31])
+    def test_one_batch_starts_no_thread(self, monkeypatch, n):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("thread started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert len(pr._spectral_table.__wrapped__(n).lam1) == partition_counts(n)[n]
+        with pytest.raises(AssertionError, match="thread started"):
+            pr._spectral_table.__wrapped__(32)
