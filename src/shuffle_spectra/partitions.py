@@ -145,15 +145,12 @@ def _transpose(parts):
 def exact_dim(parts):
     """Exact SYT count via the hook length formula. Guarded at EXACT_DIM_CAP."""
     parts = check_partition(parts)
-    check_n(sum(parts), 0, EXACT_DIM_CAP, "exact dimension")
-    return _dim(parts, _transpose(parts))
-
-
-def _dim(parts, tr):
-    """exact_dim of a checked partition with transpose tr."""
+    n = check_n(sum(parts), 0, EXACT_DIM_CAP, "exact dimension")
+    tr = _transpose(parts)
     # box (i, j) has hook (p_i - j) + (p'_j - i) - 1
-    hook_product = math.prod(p - j + tr[j] - i - 1 for i, p in enumerate(parts) for j in range(p))
-    return math.factorial(sum(parts)) // hook_product
+    return math.factorial(n) // math.prod(
+        p - j + tr[j] - i - 1 for i, p in enumerate(parts) for j in range(p)
+    )
 
 
 @dataclass(frozen=True)
@@ -169,11 +166,6 @@ def corners(parts):
     parts = check_partition(parts)
     if not parts:
         raise ValueError("the empty partition has no corners")
-    return _corners(parts)
-
-
-def _corners(parts):
-    """corners of a checked nonempty partition."""
     out = []
     k = len(parts)
     for i, p in enumerate(parts):

@@ -5,19 +5,14 @@ indexed by a partition of n (random transpositions) or by a removable corner
 of a partition of n (star transpositions). Eigenvalues are exact rationals.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
+from . import profiles
 from .partitions import (
-    EXACT_DIM_CAP,
-    _corners,
-    _dim,
-    _transpose,
-    check_n,
-    check_partition,
-    enumerate_partitions,
+    EXACT_DIM_CAP, _transpose, check_n, check_partition, corners, enumerate_partitions,
 )
 
 CHAINS = ("rt", "star")
@@ -55,24 +50,18 @@ def _checked(parts):
 
 def rt_eigenvalue(parts):
     """Random-transpositions eigenvalue block for one partition."""
-    return _rt_eigenvalue(*_checked(parts))
-
-
-def _rt_eigenvalue(parts, n):
+    parts, n = _checked(parts)
     # the content sum: sum_i C(p_i, 2) less sum_j C(p'_j, 2), which is sum_i (i - 1) p_i
-    r = Fraction(sum(comb(p, 2) - i * p for i, p in enumerate(parts)), comb(n, 2))
+    r = Fraction(sum(math.comb(p, 2) - i * p for i, p in enumerate(parts)), math.comb(n, 2))
     return RtEig(parts, r, Fraction(1, n) + Fraction(n - 1, n) * r)
 
 
 def star_eigenvalues(parts):
     """Star-transpositions eigenvalues of one partition, one per corner."""
-    return _star_eigenvalues(*_checked(parts))
-
-
-def _star_eigenvalues(parts, n):
+    parts, n = _checked(parts)
     return [
         StarEig(parts, c.row, c.reduced, Fraction(parts[c.row - 1] - c.row + 1, n))
-        for c in _corners(parts)
+        for c in corners(parts)
     ]
 
 
@@ -80,16 +69,33 @@ def _star_eigenvalues(parts, n):
 def blocks(n):
     """Every partition of n, in enumeration order, as (lam, lam_t, d, s, corners):
     its transpose, exact dimension, random-transpositions eigenvalue, and one
-    (row, d_corner, s_bar) per removable corner in row order. Each partition, of
-    n or of n - 1, is transposed once and its dimension computed once, and none
-    is checked again. Read-only, as the cache shares it."""
+    (row, d_corner, s_bar) per removable corner in row order, all read from the
+    spectral table's level recursion, so verify's identities check its hooks,
+    lifts and content sums. d(lam - e_1), where lam_1 > lam_2, comes from lam's
+    hooks less one in row 1 before its corner, and each corner reads it at its
+    lift lam - e_i + e_1. Read-only, as the cache shares it."""
     n = check_n(n, 2, EXACT_DIM_CAP, "exact multiplicities")
-    dims_red = {mu: _dim(mu, _transpose(mu)) for mu in enumerate_partitions(n - 1)}
-    out = []
-    for lam in enumerate_partitions(n):
-        lam_t = _transpose(lam)
-        cs = tuple((e.corner_row, dims_red[e.reduced], e.s_bar) for e in _star_eigenvalues(lam, n))
-        out.append((lam, lam_t, _dim(lam, lam_t), _rt_eigenvalue(lam, n).s, cs))
+    lams = enumerate_partitions(n)
+    fact, cn2 = math.factorial(n), math.comb(n, 2)
+    s_bar_of = [Fraction(v, n) for v in range(2 - n, n + 1)]  # by s_bar index
+    # 0 where lam_1 = lam_2: a lift that lands there reads d_corner 0, a failed identity
+    ds, d_mu, counts, lifts, sbars = [], [0] * len(lams), [], [], []
+    for lo, hooks, count, lift, sbar_idx in profiles._partition_rows(n):
+        for x, (lam, row) in enumerate(zip(lams[lo:], hooks.tolist()), lo):
+            ds.append(fact // math.prod(row))
+            if len(lam) == 1 or lam[1] < lam[0]:
+                first = lam[0] - 1  # row 1's corner box has hook 1
+                d_mu[x] = fact // n // math.prod([h - 1 for h in row[:first]] + row[first:])
+        counts += count.tolist()
+        lifts += lift.tolist()
+        sbars += sbar_idx.tolist()
+    out, end = [], 0
+    for lam, d, count, c in zip(lams, ds, counts, profiles._content_sums(n)[0].tolist()):
+        rows = [i for i, (p, q) in enumerate(zip(lam, lam[1:] + (0,)), 1) if p > q]
+        cs = zip(rows, lifts[end:end + count], sbars[end:end + count])
+        end += count
+        s = Fraction(cn2 + (n - 1) * (c - cn2), n * cn2)
+        out.append((lam, _transpose(lam), d, s, tuple((r, d_mu[x], s_bar_of[v]) for r, x, v in cs)))
     return tuple(out)
 
 

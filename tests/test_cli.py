@@ -210,23 +210,79 @@ class TestVerify:
         assert len(status) == 13 and status["dimension-squares-sum"] == "pass"
         assert broken <= {name for name, st in status.items() if st == "fail"}
 
+    # each fault edits the level recursion's data of (5, 2, 1), index 5 at
+    # n = 8, whose corners are rows 1, 2, 3 with lifts 5, 3, 2 and d_corner
+    # 35, 15, 14 (so a swap changes trace-star); index 7 is (4, 4), which has
+    # no lam - e_1
+    @pytest.mark.parametrize(
+        "fault, broken",
+        [
+            # d, and d(lam - e_1) read by the corners that lift to lam
+            ("hook", {"dimension-squares-sum", "branching-rule", "transpose-duality",
+                      "completeness-rt", "completeness-star", "trace-rt", "trace-star"}),
+            ("lift-swap", {"transpose-duality", "trace-star"}),
+            ("stray-lift", {"branching-rule", "transpose-duality", "completeness-star",
+                            "trace-star"}),
+            ("content-sum", {"trace-rt", "transpose-antisymmetry"}),
+        ],
+    )
+    def test_faulted_table_recursion_fails(self, fault, broken, monkeypatch, capsys):
+        rows, content_sums = profiles._partition_rows, profiles._content_sums
+        lam = 5
+        assert partitions.enumerate_partitions(8)[lam] == (5, 2, 1)
+
+        def faulted_rows(n):
+            for lo, hooks, counts, lifts, sbar in rows(n):
+                hooks, lifts = hooks.copy(), lifts.copy()
+                first = counts[:lam - lo].sum()  # lam's first corner
+                assert lifts[first:first + 3].tolist() == [5, 3, 2]
+                if fault == "hook":
+                    hooks[lam - lo, -1] += 1
+                elif fault == "lift-swap":
+                    lifts[first:first + 2] = lifts[first + 1], lifts[first]
+                elif fault == "stray-lift":
+                    lifts[first + 1] = 7
+                yield lo, hooks, counts, lifts, sbar
+
+        def faulted_sums(n):
+            sums, lam1_t = content_sums(n)
+            sums = sums.copy()
+            sums[lam] += 1
+            return sums, lam1_t
+
+        monkeypatch.setattr(profiles, "_partition_rows", faulted_rows)
+        if fault == "content-sum":
+            monkeypatch.setattr(profiles, "_content_sums", faulted_sums)
+        spectra.blocks.cache_clear()
+        code = cli.run(["verify", "--n", "8"])
+        spectra.blocks.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        status = dict(line.split(";") for line in captured.out.splitlines()[1:])
+        assert len(status) == 13
+        assert {name for name, st in status.items() if st == "fail"} == broken
+
     def test_one_block_build_per_run(self, monkeypatch, capsys):
-        calls = []
-        dim = partitions._dim  # the hook length product behind exact_dim
+        checked, passes = [], []
+        check, rows = partitions.check_partition, profiles._partition_rows
 
-        def counted(parts, tr):
-            calls.append(parts)
-            return dim(parts, tr)
+        def counted_check(parts):
+            checked.append(parts)
+            return check(parts)
 
-        for module in (partitions, spectra, cli):
-            if hasattr(module, "_dim"):
-                monkeypatch.setattr(module, "_dim", counted)
+        def counted_rows(n):
+            passes.append(n)
+            return rows(n)
+
+        for module in (partitions, spectra):
+            monkeypatch.setattr(module, "check_partition", counted_check)
+        monkeypatch.setattr(profiles, "_partition_rows", counted_rows)
         spectra.blocks.cache_clear()
         misses = spectra.blocks.cache_info().misses
         assert run_cli(["verify", "--n", "30"], capsys)[0] == 0
         assert spectra.blocks.cache_info().misses == misses + 1
-        # one call per shape of n and n - 1: p(30) + p(29) = 5,604 + 4,565
-        assert len(calls) == len(set(calls)) == 10_169
+        # one pass of the table's level recursion, and no partition checked
+        assert passes == [30] and checked == []
 
     @pytest.mark.parametrize("n, builds", [(5, 2), (6, 2), (7, 2), (8, 0)])
     def test_one_matrix_per_chain_per_run(self, n, builds, monkeypatch, capsys):

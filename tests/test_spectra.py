@@ -12,7 +12,9 @@ from shuffle_spectra.partitions import (
     exact_dim,
     transpose,
 )
-from shuffle_spectra import partitions, spectra
+from shuffle_spectra import partitions, profiles, spectra
+
+from partition_oracle import iter_partitions
 
 
 class TestRtEigenvalue:
@@ -166,10 +168,40 @@ class TestSpectrumRows:
         assert [r[0] for r in rows] == enumerate_partitions(6)
 
 
+def oracle_blocks(n):
+    """blocks(n) built from the public single-partition helpers alone."""
+    return tuple(
+        (
+            lam,
+            transpose(lam),
+            exact_dim(lam),
+            spectra.rt_eigenvalue(lam).s,
+            tuple((e.corner_row, exact_dim(e.reduced), e.s_bar) for e in spectra.star_eigenvalues(lam)),
+        )
+        for lam in iter_partitions(n)
+    )
+
+
 class TestBlocks:
+    @pytest.mark.parametrize("n", [*range(2, 21), 30])
+    def test_matches_public_helpers(self, n):
+        got, want = spectra.blocks(n), oracle_blocks(n)
+        # repr tells an int from an equal Fraction
+        assert got == want and repr(got) == repr(want)
+
+    def test_batches_of_the_level_recursion(self, monkeypatch):
+        # blocks reads every batch of _partition_rows, and corners that lift
+        # into an earlier batch, as one batch does
+        monkeypatch.setattr(profiles, "_TABLE_CHUNK", 7)
+        spectra.blocks.cache_clear()
+        assert len(list(profiles._partition_rows(12))) == 11  # p(12) = 77
+        assert spectra.blocks(12) == oracle_blocks(12)
+        spectra.blocks.cache_clear()
+
     def test_each_shape_transposed_once_and_not_rechecked(self, monkeypatch):
-        checked, transposed = [], []
+        checked, transposed, passes = [], [], []
         check, transpose_ = partitions.check_partition, partitions._transpose
+        rows = profiles._partition_rows
 
         def counted_check(parts):
             checked.append(parts)
@@ -179,12 +211,19 @@ class TestBlocks:
             transposed.append(parts)
             return transpose_(parts)
 
+        def counted_rows(n):
+            passes.append(n)
+            return rows(n)
+
         for module in (partitions, spectra):
             monkeypatch.setattr(module, "check_partition", counted_check)
             monkeypatch.setattr(module, "_transpose", counted_transpose)
+        monkeypatch.setattr(profiles, "_partition_rows", counted_rows)
         spectra.blocks.cache_clear()
+        misses = spectra.blocks.cache_info().misses
         lams = [lam for lam, *_ in spectra.blocks(12)]
+        assert spectra.blocks.cache_info().misses == misses + 1
         assert lams == enumerate_partitions(12)
-        assert checked == []
-        # one transpose per shape of n and n - 1: p(12) + p(11) = 77 + 56
-        assert len(transposed) == len(set(transposed)) == 133
+        assert checked == [] and passes == [12]  # one pass of the level recursion
+        # one transpose per shape of n, none of n - 1: p(12) = 77
+        assert len(transposed) == len(set(transposed)) == 77
