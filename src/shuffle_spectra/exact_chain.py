@@ -15,9 +15,11 @@ conjugation by S_n, and star transpositions under conjugation by the
 permutations that fix position 0, so each walk from the identity has a law
 that is constant on orbits: cycle types for rt (p(n) of them), and cycle
 types with the length of 0's cycle marked for star (p(0) + ... + p(n-1)).
-The orbit matrix K, one integer row per orbit read from the n! matrix, steps
-that law exactly as the full matrix steps the distribution (Kemeny and Snell,
-Finite Markov Chains, 1960, on lumpability).
+The integer orbit matrix K, its row o from the generators applied to orbit
+o's lowest rank, steps that law exactly as the full matrix steps the
+distribution (Kemeny and Snell, Finite Markov Chains, 1960, on lumpability).
+So the walk never reads the n! matrix, whose CSR arrays build_matrix makes on
+the first read of .mat, for the checks that need every state.
 """
 
 import functools
@@ -43,13 +45,18 @@ class SparseScaledMatrix:
 
     n: int
     scale: int
-    mat: sparse.csr_matrix  # int8 entries
+    # the int8 CSR matrix, or a function that makes it on the first read of mat
+    _mat: object = field(repr=False)
     # "rt" or "star", set only by build_matrix: the orbits evolve lumps by
     chain: str = field(default=None, init=False, repr=False, compare=False)
-    # float orbit operator K / n^scale, built by the first step evolve takes on it
-    _orbit_op: object = field(default=None, init=False, repr=False, compare=False)
     # (t, law): the last orbit law evolve computed on this matrix
     _cursor: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def mat(self):
+        if callable(self._mat):
+            self._mat = self._mat()
+        return self._mat
 
     @property
     def denom(self):
@@ -104,9 +111,9 @@ def _swap_maps(n, pairs, out=None):
     return out
 
 
-def _build_from_weights(n, ident, pairs, weight, scale, chain=None):
-    """Right-multiplication walk: weight ident on the identity and weight on
-    each swap (a, b) in pairs."""
+def _build_from_weights(n, ident, pairs, weight):
+    """CSR of the right-multiplication walk: weight ident on the identity and
+    weight on each swap (a, b) in pairs."""
     m = math.factorial(n)
     k = len(pairs) + 1
     bits = (k - 1).bit_length()
@@ -125,9 +132,7 @@ def _build_from_weights(n, ident, pairs, weight, scale, chain=None):
     keys &= (1 << bits) - 1  # now the generator of each entry
     data = np.where(keys, np.int8(weight), np.int8(ident))
     indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
-    matrix = SparseScaledMatrix(n, scale, sparse.csr_matrix((data, cols, indptr), shape=(m, m)))
-    matrix.chain = chain
-    return matrix
+    return sparse.csr_matrix((data, cols, indptr), shape=(m, m))
 
 
 def check_build_n(n):
@@ -135,18 +140,27 @@ def check_build_n(n):
     return check_n(n, 2, MAX_BUILD_N, "matrix construction")
 
 
+def _generators(chain, n):
+    """(identity weight, swaps, swap weight, scale) of chain's matrix."""
+    if chain == "rt":
+        return n, list(itertools.combinations(range(n), 2)), 2, 2
+    if chain == "star":
+        return 1, [(0, j) for j in range(1, n)], 1, 1
+    raise ValueError(f"unknown chain {chain!r}")
+
+
 def build_matrix(chain, n):
     """Exact transition matrix of random transpositions ("rt") or star ("star").
 
     rt: scale 2, weight n on the diagonal and 2 on each transposition neighbor.
     star: scale 1, weight 1 on the diagonal and on each (top, j) swap.
+    The CSR arrays are made on the first read of .mat; evolve never reads it.
     """
     n = check_build_n(n)
-    if chain == "rt":
-        return _build_from_weights(n, n, list(itertools.combinations(range(n), 2)), 2, 2, chain)
-    if chain == "star":
-        return _build_from_weights(n, 1, [(0, j) for j in range(1, n)], 1, 1, chain)
-    raise ValueError(f"unknown chain {chain!r}")
+    ident, pairs, weight, scale = _generators(chain, n)
+    matrix = SparseScaledMatrix(n, scale, lambda: _build_from_weights(n, ident, pairs, weight))
+    matrix.chain = chain
+    return matrix
 
 
 def build_skewed_matrix(n):
@@ -156,7 +170,7 @@ def build_skewed_matrix(n):
     Scale 1: weight 1 on the diagonal, n-1 on the (0 1) swap.
     """
     n = check_build_n(n)
-    return _build_from_weights(n, 1, [(0, 1)], n - 1, 1)
+    return SparseScaledMatrix(n, 1, lambda: _build_from_weights(n, 1, [(0, 1)], n - 1))
 
 
 @functools.cache
@@ -225,14 +239,32 @@ def _orbits(n):
     return out
 
 
-def _orbit_matrix(matrix, labels, reps):
-    """Integer orbit matrix: row o is row reps[o] of the n! matrix, summed by
-    the orbit labels of its columns."""
-    rows = matrix.mat[reps]
-    k = len(reps)
-    # toarray sums the entries that land on one orbit, in int64 as int8 could wrap
-    data = rows.data.astype(np.int64)
-    return sparse.csr_matrix((data, labels[rows.indices], rows.indptr), shape=(k, k)).toarray()
+@functools.cache
+def _orbit_matrix(chain, n):
+    """Integer orbit matrix K of build_matrix(chain, n), int64: row o holds
+    the weights from orbit o's lowest rank to each orbit, each swap's target
+    found by applying it to that rank's permutation. Read-only, as cached."""
+    ident, pairs, weight, _ = _generators(chain, n)
+    labels, _, reps = _orbits(n)[chain]
+    k, g = len(reps), len(pairs)
+    # x * (a b) reads x's columns in the order of (a b)
+    order = np.tile(np.arange(n), (g, 1))
+    a, b = np.array(pairs).T
+    order[np.arange(g), a], order[np.arange(g), b] = b, a
+    targets = labels[_ranks(_lex_perms(n)[reps][:, order].reshape(-1, n))]
+    out = np.zeros((k, k), dtype=np.int64)
+    np.add.at(out, (np.arange(k).repeat(g), targets), weight)
+    out.flat[::k + 1] += ident  # the diagonal
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _orbit_op(chain, n):
+    """The float orbit operator K / n^scale that evolve steps by. Read-only."""
+    op = _orbit_matrix(chain, n) / n ** _generators(chain, n)[3]
+    op.flags.writeable = False
+    return op
 
 
 @functools.lru_cache(maxsize=4)  # a TV curve from one start alternates rt and star
@@ -261,7 +293,7 @@ def evolve(matrix, start, t):
     start, t = operator.index(start), _check_time(t)
     if matrix.chain not in ("rt", "star"):
         raise ValueError("evolve walks only the rt and star matrices of build_matrix")
-    if not 0 <= start < matrix.mat.shape[0]:
+    if not 0 <= start < math.factorial(matrix.n):
         raise ValueError("start rank out of range")
     return _orbit_law(matrix, t)[_start_index(matrix.n, matrix.chain, start)]
 
@@ -269,17 +301,17 @@ def evolve(matrix, start, t):
 def _orbit_law(matrix, t):
     """The law after t steps from the identity, as the mass of one rank in
     each orbit; resumes from matrix._cursor when t has not gone back."""
-    labels, sizes, reps = _orbits(matrix.n)[matrix.chain]
+    labels, sizes, _ = _orbits(matrix.n)[matrix.chain]
     cursor = matrix._cursor
     if cursor is not None and cursor[0] <= t:
         t0, law = cursor
     else:
         t0, law = 0, np.zeros(len(sizes))
         law[labels[0]] = 1.0
-    if t > t0 and matrix._orbit_op is None:  # a repeated t needs no operator
-        matrix._orbit_op = _orbit_matrix(matrix, labels, reps) / matrix.denom
-    for _ in range(t - t0):
-        law = law @ matrix._orbit_op
+    if t > t0:  # a repeated t needs no operator
+        op = _orbit_op(matrix.chain, matrix.n)
+        for _ in range(t - t0):
+            law = law @ op
     matrix._cursor = (t, law)
     return law / sizes
 

@@ -65,6 +65,13 @@ def star_eigenvalues(parts):
     ]
 
 
+def _over(top, hooks):
+    """top // the product of hooks, or 0 where a hook is 0: only a faulty
+    recursion yields one, and d = 0 fails verify's identities."""
+    prod = math.prod(hooks)
+    return top // prod if prod else 0
+
+
 @lru_cache(maxsize=1, typed=True)  # typed: a cached 5 must not answer 5.0
 def blocks(n):
     """Every partition of n, in enumeration order, as (lam, lam_t, d, s, corners):
@@ -82,10 +89,10 @@ def blocks(n):
     ds, d_mu, counts, lifts, sbars = [], [0] * len(lams), [], [], []
     for lo, hooks, count, lift, sbar_idx in profiles._partition_rows(n):
         for x, (lam, row) in enumerate(zip(lams[lo:], hooks.tolist()), lo):
-            ds.append(fact // math.prod(row))
+            ds.append(_over(fact, row))
             if len(lam) == 1 or lam[1] < lam[0]:
                 first = lam[0] - 1  # row 1's corner box has hook 1
-                d_mu[x] = fact // n // math.prod([h - 1 for h in row[:first]] + row[first:])
+                d_mu[x] = _over(fact // n, [h - 1 for h in row[:first]] + row[first:])
         counts += count.tolist()
         lifts += lift.tolist()
         sbars += sbar_idx.tolist()

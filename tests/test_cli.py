@@ -224,6 +224,14 @@ class TestVerify:
             ("stray-lift", {"branching-rule", "transpose-duality", "completeness-star",
                             "trace-star"}),
             ("content-sum", {"trace-rt", "transpose-antisymmetry"}),
+            # a hook product of 0 gives d = 0 (a failed row, not a ZeroDivisionError):
+            # row 1's hook at column 4, lowered from 2 to 1, makes d(lam - e_1)'s 0
+            ("row-1-hook", {"dimension-squares-sum", "branching-rule", "transpose-duality",
+                            "completeness-rt", "completeness-star", "trace-rt", "trace-star"}),
+            # a hook of 0 (row 3's) zeroes d and d(lam - e_1)
+            ("zero-hook", {"dimension-squares-sum", "branching-rule", "transpose-duality",
+                           "corner-bounds", "completeness-rt", "completeness-star",
+                           "trace-rt", "trace-star"}),
         ],
     )
     def test_faulted_table_recursion_fails(self, fault, broken, monkeypatch, capsys):
@@ -238,6 +246,10 @@ class TestVerify:
                 assert lifts[first:first + 3].tolist() == [5, 3, 2]
                 if fault == "hook":
                     hooks[lam - lo, -1] += 1
+                elif fault == "row-1-hook":
+                    hooks[lam - lo, 3] -= 1
+                elif fault == "zero-hook":
+                    hooks[lam - lo, -1] = 0
                 elif fault == "lift-swap":
                     lifts[first:first + 2] = lifts[first + 1], lifts[first]
                 elif fault == "stray-lift":

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from shuffle_spectra import cli
 from shuffle_spectra import exact_chain as ec
 from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, enumerate_partitions
 
+from lumping_oracle import orbit_matrix
 from partition_oracle import iter_partitions
 
 
@@ -363,31 +365,32 @@ class TestEvolve:
         m = ec.build_matrix("star", 4)
         twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
         ec.evolve(m, 3, 3)
-        assert m._cursor is not None and m._orbit_op is not None
-        assert twin._cursor is None and twin._orbit_op is None
+        assert m._cursor is not None and twin._cursor is None
         assert m.chain == "star" and twin.chain is None
         assert m == twin
         assert repr(m) == repr(twin)
 
-    def test_operator_built_once_per_matrix(self):
+    def test_operator_built_once_per_chain_and_n(self):
+        ec._orbit_op.cache_clear()
         m = ec.build_matrix("rt", 5)
         ec.evolve(m, 0, 0)
-        assert m._orbit_op is None  # no step taken, no operator
+        assert ec._orbit_op.cache_info().currsize == 0  # no step taken, no operator
         ec.evolve(m, 0, 2)
-        op = m._orbit_op
+        op = ec._orbit_op("rt", 5)
         ec.evolve(m, 3, 4)
-        ec.evolve(m, 1, 3)
-        assert m._orbit_op is op
+        ec.evolve(ec.build_matrix("rt", 5), 1, 3)  # a second matrix steps by it too
+        assert ec._orbit_op("rt", 5) is op and ec._orbit_op.cache_info().misses == 1
         assert op.dtype == np.float64 and op.shape == (7, 7)  # p(5) cycle types
+        assert not op.flags.writeable  # cached: every walk sees this array
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_operator_data_is_scaled_integer_data(self, n):
         for m in (ec.build_matrix("rt", n), ec.build_matrix("star", n)):
             ec.evolve(m, 0, 1)
             labels, _, reps = ec._orbits(n)[m.chain]
-            k = ec._orbit_matrix(m, labels, reps)
+            k = orbit_matrix(m, labels, reps)
             assert k.dtype == np.int64
-            assert np.array_equal(m._orbit_op, k / m.denom)
+            assert np.array_equal(ec._orbit_op(m.chain, n), k / m.denom)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matrix_without_a_chain_refused(self, n):
@@ -397,7 +400,7 @@ class TestEvolve:
         for m in (ec.build_skewed_matrix(n), ec.SparseScaledMatrix(n, 2, ec.build_matrix("rt", n).mat), unknown):
             with pytest.raises(ValueError, match="only the rt and star matrices"):
                 ec.evolve(m, 0, 1)
-            assert m._cursor is None and m._orbit_op is None
+            assert m._cursor is None
 
     def test_start_index_kept_across_curve_points(self):
         # a TV curve from a nonzero start must not redo the 2.5 ms lift per point
@@ -426,7 +429,7 @@ class TestEvolve:
         m = ec.build_matrix("star", 4)
         with pytest.raises(TypeError):
             ec.evolve(m, start, t)
-        assert m._cursor is None and m._orbit_op is None
+        assert m._cursor is None
 
 
 def cycle_type(p):
@@ -516,10 +519,20 @@ class TestLumping:
     def test_every_row_lumps_to_its_orbit_row(self, chain, n):
         m = ec.build_matrix(chain, n)
         labels, sizes, reps = ec._orbits(n)[chain]
-        k = ec._orbit_matrix(m, labels, reps)
+        k = orbit_matrix(m, labels, reps)
         assert k.dtype == np.int64 and k.shape == (len(sizes), len(sizes))
         assert np.array_equal(rows_by_orbit(m, labels, len(sizes)), k[labels])
         assert np.all(k.sum(axis=1) == m.denom)
+
+    @pytest.mark.parametrize("chain", ["rt", "star"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbit_matrix_matches_the_oracle(self, chain, n):
+        # K from the generators on each orbit's lowest rank, against its n! rows
+        labels, _, reps = ec._orbits(n)[chain]
+        k = ec._orbit_matrix(chain, n)
+        assert k.dtype == np.int64 and not k.flags.writeable
+        assert np.array_equal(k, orbit_matrix(ec.build_matrix(chain, n), labels, reps))
+        assert ec._orbit_matrix(chain, n) is k
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_skewed_matrix_does_not_lump(self, n):
@@ -527,7 +540,7 @@ class TestLumping:
         m = ec.build_skewed_matrix(n)
         for chain in ("rt", "star"):
             labels, sizes, reps = ec._orbits(n)[chain]
-            k = ec._orbit_matrix(m, labels, reps)
+            k = orbit_matrix(m, labels, reps)
             assert np.all(k.sum(axis=1) == m.denom)
             assert not np.array_equal(rows_by_orbit(m, labels, len(sizes)), k[labels])
 
@@ -535,7 +548,8 @@ class TestLumping:
         code = (
             "from shuffle_spectra import exact_chain as ec; "
             "assert ec._orbits.cache_info().currsize == 0; "
-            "assert ec._lex_perms.cache_info().currsize == 0"
+            "assert ec._lex_perms.cache_info().currsize == 0; "
+            "assert ec._orbit_matrix.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -543,6 +557,49 @@ class TestLumping:
 def tv_pair(a, b):
     """Oracle: total variation distance between two distribution vectors."""
     return 0.5 * np.abs(np.asarray(a) - np.asarray(b)).sum()
+
+
+def _no_csr(*args):
+    raise AssertionError("the n! matrix was built")
+
+
+class TestMatrixOnFirstRead:
+    """build_matrix makes its CSR arrays on the first read of .mat, which the
+    walk, the pair sums and the CLI's compare and exact-tv never take."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--n", "8", "--c", "0"],
+        ["exact-tv", "--chain", "rt", "--n", "8", "--t-max", "40"],
+    ])
+    def test_cli_walks_without_the_matrix(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(ec, "_build_from_weights", _no_csr)
+        assert cli.run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) > 1
+
+    def test_lemma_and_evolve_without_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(ec, "_build_from_weights", _no_csr)
+        lhs, rhs = ec.lemma_l2_check(6, 10, 26)
+        assert 0 < lhs <= rhs
+        d = ec.evolve(ec.build_matrix("star", 7), 100, 12)  # a nonzero start
+        assert d.shape == (5040,) and abs(d.sum() - 1) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["rt", "star", "skewed"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_first_read_is_the_eager_build(self, kind, n, monkeypatch):
+        if kind == "skewed":
+            m, weights = ec.build_skewed_matrix(n), (1, [(0, 1)], n - 1)
+        else:
+            m, weights = ec.build_matrix(kind, n), ec._generators(kind, n)[:3]
+        eager = ec._build_from_weights(n, *weights)
+        mat = m.mat
+        for name, dtype in (("data", np.int8), ("indices", np.int32), ("indptr", np.int32)):
+            got, want = getattr(mat, name), getattr(eager, name)
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+        assert mat.shape == eager.shape == (math.factorial(n),) * 2
+        assert mat.has_canonical_format and mat.has_sorted_indices
+        monkeypatch.setattr(ec, "_build_from_weights", _no_csr)
+        assert m.mat is mat  # kept: a second read builds nothing
 
 
 class TestTotalVariation:
@@ -890,7 +947,8 @@ class TestAllocationBudget:
     plus about 10%; the figure with the wide ones is given beside it."""
 
     def test_build_rt8(self):
-        peak, kept = traced_mib(lambda: ec.build_matrix("rt", 8))
+        m = ec.build_matrix("rt", 8)
+        peak, kept = traced_mib(lambda: m.mat)  # the first read builds the CSR
         assert peak <= 11.3  # measured 10.2 MiB; 18.0 MiB with int64 weights
         # int32 columns and int8 weights, 29 entries per state
         assert kept <= 6.3  # measured 5.75 MiB; 13.6 MiB with int64 weights
@@ -902,7 +960,16 @@ class TestAllocationBudget:
 
     def test_exact_commutes7(self):
         star, rt = ec.build_matrix("star", 7), ec.build_matrix("rt", 7)
+        star.mat, rt.mat  # built before the trace: not part of the product's peak
         peak, _ = traced_mib(lambda: ec.exact_commutes(star, rt))
         # measured 5.86 MiB with one product AB - BA; 12.8 MiB with scipy's !=
         # on AB and BA, and 18.4 MiB with int64 products
         assert peak <= 6.4
+
+    def test_walk_rt8(self):
+        # what exact-tv pays, from cold caches: the labelling of S_n, K and 40
+        # orbit steps, and no n! matrix
+        for cached in (ec._lex_perms, ec._orbits, ec._orbit_matrix, ec._orbit_op, ec._start_index):
+            cached.cache_clear()
+        peak, _ = traced_mib(lambda: ec.evolve(ec.build_matrix("rt", 8), 0, 40))
+        assert peak <= 5.9  # measured 5.39 MiB; 11.1 MiB when K was read from the n! matrix
