@@ -14,12 +14,13 @@ sums or multiplies them widens first, to a type that holds the result.
 conjugation by S_n, and star transpositions under conjugation by the
 permutations that fix position 0, so each walk from the identity has a law
 that is constant on orbits: cycle types for rt (p(n) of them), and cycle
-types with the length of 0's cycle marked for star (p(0) + ... + p(n-1)).
-The integer orbit matrix K, its row o from the generators applied to orbit
-o's lowest rank, steps that law exactly as the full matrix steps the
-distribution (Kemeny and Snell, Finite Markov Chains, 1960, on lumpability).
-So the walk never reads the n! matrix, whose CSR arrays build_matrix makes on
-the first read of .mat, for the checks that need every state.
+types with the length of 0's cycle marked for star (p(0) + ... + p(n-1)),
+each rank's orbit read off S_(n-1)'s by its first card. The integer orbit
+matrix K, its row o from the generators applied to orbit o's lowest rank,
+steps that law exactly as the full matrix steps the distribution (Kemeny and
+Snell, Finite Markov Chains, 1960, on lumpability). So the walk never reads
+the n! matrix, whose CSR arrays build_matrix makes on the first read of .mat
+for the checks that need every state; only a nonzero start lists S_n.
 """
 
 import functools
@@ -65,16 +66,20 @@ class SparseScaledMatrix:
     def dense_float(self):
         return self.mat.toarray() / self.denom
 
-    def is_symmetric_exact(self):
-        """Whether mat equals its transpose, as CSR arrays with sorted
-        indices (mat's sorted in place), with no third matrix as scipy's !=
-        would build. Equal arrays are equal matrices; a stored zero could only
-        make a symmetric matrix compare unequal, never the reverse."""
-        a, b = self.mat, self.mat.T.tocsr()
-        a.sort_indices()
-        return all(
+    def __eq__(self, other):
+        """Equal n, scale and CSR arrays, indices sorted in place: no third matrix
+        as scipy's == builds; a stored zero only makes equal ones unequal."""
+        if not isinstance(other, SparseScaledMatrix):
+            return NotImplemented
+        a, b = self.mat, other.mat
+        a.sort_indices(), b.sort_indices()
+        return (self.n, self.scale, a.shape) == (other.n, other.scale, b.shape) and all(
             np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data")
         )
+
+    def is_symmetric_exact(self):
+        """Whether mat equals its transpose, compared as == compares them."""
+        return self == SparseScaledMatrix(self.n, self.scale, self.mat.T.tocsr())
 
 
 def _swap_maps(n, pairs, out=None):
@@ -200,42 +205,48 @@ def _ranks(perms):
     return rank
 
 
-def _orbit_keys(perms):
-    """(rt key, star key) of each row of an (m, n) int8 permutation array.
-
-    The rt key sums (n + 1)^(l - 1) over the n points, l the length of the
-    point's cycle, so it fixes the cycle type; the star key adds the length
-    of 0's cycle. Lengths above n/2 are all counted as n/2 + 1: at most one
-    cycle is that long, and its points are exactly the ones counted so.
-    """
-    m, n = perms.shape
-    points = np.arange(n, dtype=np.int8)
-    moving = perms != points
-    longer = moving.astype(np.int8)  # min(cycle length, n/2 + 1) - 1 of each point
-    rows = np.arange(0, m * n, n, dtype=np.int32)[:, None]
-    power = perms
-    for _ in range(n // 2 - 1):
-        # x(x^k(i)) by one gather through int32 flat indices, an int8 result
-        power = perms.ravel().take(power + rows)
-        moving &= power != points
-        longer += moving
-    weights = (n + 1) ** np.arange(n // 2 + 1, dtype=np.int32)  # keys below 2^31 for n <= 8
-    rt = (weights[longer] @ np.ones(n, dtype=np.int32)).astype(np.int64)
-    return rt, rt * n + longer[:, 0]
+def _unrank(ranks, n):
+    """The int8 row of each rank's permutation, from its Lehmer digits."""
+    perms = np.array([ranks // math.factorial(n - 1 - i) % (n - i) for i in range(n)], np.int8).T
+    for i in range(n - 2, -1, -1):  # digit i counts the smaller cards right of i
+        perms[:, i + 1 :] += perms[:, i + 1 :] >= perms[:, i : i + 1]
+    return perms
 
 
 @functools.cache
 def _orbits(n):
     """{chain: (labels, sizes, reps)} over S_n: labels[x] is the orbit of
-    rank x, sizes[o] the number of ranks in orbit o and reps[o] its lowest."""
+    rank x, sizes[o] the number of ranks in orbit o and reps[o] its lowest,
+    orbits numbered by a key that sums (n + 1)^(l - 1) over the points, l the
+    length of the point's cycle, then for star by 0's cycle length.
+
+    Rank v (n-1)! + r is (v, tau), tau of rank r in S_(n-1): v = 0 adds a
+    fixed 0 to tau's cycles, and v >= 1 has the cycles of tau d_v with 0's one
+    longer, d_v = (0 v-1 ... 1). As d_(v+1) = (v-1 v) d_v, block v + 1 reads
+    block v's star labels below through the rank map of tau -> tau * (v-1 v)."""
+    if n == 1:  # one rank in one orbit, as read-only views
+        one = tuple(np.broadcast_to(np.intp(x), 1) for x in (0, 1, 0))
+        return dict.fromkeys(("rt", "star"), one)
+    below, f = _orbits(n - 1), math.factorial(n - 1)
+    (rt_labels, _, rt_reps), (star_labels, _, star_reps) = below["rt"], below["star"]
+    # a candidate orbit of S_n per orbit below, met first at these ranks
+    firsts = np.concatenate([rt_reps, f + star_reps])
+    maps = _swap_maps(n - 1, [(a, a + 1) for a in range(n - 2)]).values()
+    moved = itertools.accumulate(maps, operator.getitem, initial=len(rt_reps) + star_labels)
+    index = np.concatenate([rt_labels, *moved])  # the candidate of each rank
+    x = _unrank(firsts, n)
+    powers = itertools.accumulate([x] * n, lambda p, _: np.take_along_axis(x, p, 1))
+    length = (np.array(list(powers)) == np.arange(n)).argmax(axis=0) + 1  # first fixing power
+    rt_key = ((n + 1) ** (length - 1)).sum(axis=1)
     out = {}
-    for chain, key in zip(("rt", "star"), _orbit_keys(_lex_perms(n))):
-        _, reps, labels, sizes = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
-        for cached in (labels, sizes, reps):
+    for chain, key in (("rt", rt_key), ("star", rt_key * n + length[:, 0] - 1)):
+        orbit_keys, table = np.unique(key, return_inverse=True)
+        labels = table[index]
+        reps = np.full(len(orbit_keys), n * f, dtype=np.intp)
+        np.minimum.at(reps, table, firsts)
+        out[chain] = labels, np.bincount(labels), reps
+        for cached in out[chain]:
             cached.flags.writeable = False
-        out[chain] = labels, sizes, reps
     return out
 
 
@@ -248,10 +259,8 @@ def _orbit_matrix(chain, n):
     labels, _, reps = _orbits(n)[chain]
     k, g = len(reps), len(pairs)
     # x * (a b) reads x's columns in the order of (a b)
-    order = np.tile(np.arange(n), (g, 1))
-    a, b = np.array(pairs).T
-    order[np.arange(g), a], order[np.arange(g), b] = b, a
-    targets = labels[_ranks(_lex_perms(n)[reps][:, order].reshape(-1, n))]
+    order = [[{a: b, b: a}.get(i, i) for i in range(n)] for a, b in pairs]
+    targets = labels[_ranks(_unrank(reps, n)[:, order].reshape(-1, n))]
     out = np.zeros((k, k), dtype=np.int64)
     np.add.at(out, (np.arange(k).repeat(g), targets), weight)
     out.flat[::k + 1] += ident  # the diagonal
@@ -267,18 +276,18 @@ def _orbit_op(chain, n):
     return op
 
 
-@functools.lru_cache(maxsize=4)  # a TV curve from one start alternates rt and star
-def _start_index(n, chain, start):
-    """The orbit of start^-1 x for every rank x, from each rank's orbit label:
+@functools.lru_cache(maxsize=2)  # a TV curve from one start alternates rt and star
+def _start_index(n, start):
+    """{chain: the orbit of start^-1 x for every rank x}, from one ranking:
     the law from start at x is the law from the identity at start^-1 x."""
-    labels = _orbits(n)[chain][0]
-    if start == 0:
-        return labels
-    perms = _lex_perms(n)
-    inverse = np.argsort(perms[start]).astype(np.int8)
-    index = labels[_ranks(inverse[perms])]
-    index.flags.writeable = False
-    return index
+    labels = {chain: orbits[0] for chain, orbits in _orbits(n).items()}
+    if start:
+        perms = _lex_perms(n)
+        ranks = _ranks(np.argsort(perms[start]).astype(np.int8)[perms])
+        for chain in labels:
+            labels[chain] = labels[chain][ranks]
+            labels[chain].flags.writeable = False
+    return labels
 
 
 def evolve(matrix, start, t):
@@ -295,7 +304,7 @@ def evolve(matrix, start, t):
         raise ValueError("evolve walks only the rt and star matrices of build_matrix")
     if not 0 <= start < math.factorial(matrix.n):
         raise ValueError("start rank out of range")
-    return _orbit_law(matrix, t)[_start_index(matrix.n, matrix.chain, start)]
+    return _orbit_law(matrix, t)[_start_index(matrix.n, start)[matrix.chain]]
 
 
 def _orbit_law(matrix, t):
@@ -337,7 +346,8 @@ def tv_to_uniform(d):
     d = np.asarray(d, dtype=float)
     if d.size == 0:
         raise ValueError("distribution vector is empty")
-    return 0.5 * np.abs(d - 1.0 / d.size).sum()
+    dev = d - 1.0 / d.size  # then its abs in place: one n!-long temporary, not two
+    return 0.5 * np.abs(dev, out=dev).sum()
 
 
 def exact_commutes(m1, m2):

@@ -16,7 +16,7 @@ from shuffle_spectra import profiles as pr
 from shuffle_spectra import spectra
 from shuffle_spectra.partitions import SizeLimitError, enumerate_partitions
 
-from lumping_oracle import orbit_matrix
+from lumping_oracle import orbit_matrix, orbits as orbits_oracle
 from partition_oracle import iter_partitions
 
 
@@ -361,6 +361,35 @@ class TestEvolve:
         assert m._cursor is cursor
         assert np.array_equal(ec.evolve(m, 7, 5), ec.evolve(ec.build_matrix("rt", 4), 7, 5))
 
+    @pytest.mark.parametrize("read", ["neither", "one", "both"])
+    def test_equality_before_and_after_the_first_read(self, read):
+        a, b = ec.build_matrix("rt", 4), ec.build_matrix("rt", 4)
+        for m in (a, b)[: ("neither", "one", "both").index(read)]:
+            m.mat
+        assert a == b and b == a and not a != b
+        assert a.mat is not b.mat  # equal arrays, not one shared matrix
+
+    @pytest.mark.parametrize("read", [False, True])
+    def test_other_walks_are_unequal(self, read):
+        rt, star, skewed = ec.build_matrix("rt", 4), ec.build_matrix("star", 4), ec.build_skewed_matrix(4)
+        if read:
+            rt.mat, star.mat, skewed.mat
+        assert rt != star and star != rt
+        assert rt != skewed and skewed != rt
+        assert star != skewed  # the same n and scale, other entries
+        assert rt != ec.build_matrix("rt", 5)
+        assert ec.SparseScaledMatrix(4, 1, rt.mat) != rt  # the same matrix, another scale
+        assert rt != rt.mat and rt != "rt"
+
+    def test_equality_sorts_indices(self):
+        m = ec.build_matrix("star", 5)
+        shuffled = m.mat.copy()
+        for i in range(shuffled.shape[0]):
+            row = slice(shuffled.indptr[i], shuffled.indptr[i + 1])
+            shuffled.indices[row], shuffled.data[row] = shuffled.indices[row][::-1], shuffled.data[row][::-1]
+        shuffled.has_sorted_indices = False
+        assert ec.SparseScaledMatrix(5, 1, shuffled) == m
+
     def test_equality_ignores_cursor(self):
         m = ec.build_matrix("star", 4)
         twin = ec.SparseScaledMatrix(m.n, m.scale, m.mat)
@@ -406,11 +435,34 @@ class TestEvolve:
         # a TV curve from a nonzero start must not redo the 2.5 ms lift per point
         m = ec.build_matrix("rt", 6)
         ec.evolve(m, 100, 3)
-        index = ec._start_index(6, "rt", 100)
+        index = ec._start_index(6, 100)
         ec.evolve(ec.build_matrix("star", 6), 100, 3)
         ec.evolve(m, 100, 4)
-        assert ec._start_index(6, "rt", 100) is index
-        assert not index.flags.writeable
+        assert ec._start_index(6, 100) is index
+        assert not any(a.flags.writeable for a in index.values())
+
+    def test_nonzero_start_ranked_once_for_both_chains(self, monkeypatch):
+        # a TV curve pass from one start walks star, then rt: one 2.5 ms ranking
+        calls = []
+
+        def counted(perms, ranks=ec._ranks):
+            calls.append(len(perms))
+            return ranks(perms)
+
+        ec._start_index.cache_clear()
+        for chain in ("star", "rt"):
+            ec._orbit_op(chain, 7)  # K ranks its targets too: built before the count
+        monkeypatch.setattr(ec, "_ranks", counted)
+        star, rt = ec.build_matrix("star", 7), ec.build_matrix("rt", 7)
+        got = {(m.chain, t): ec.evolve(m, 100, t) for m in (star, rt) for t in (3, 4, 9)}
+        assert calls == [5040]
+        # the law from start s at x is the identity's law at s^-1 x
+        perms = lex_order(7)
+        inverse = np.argsort(perms[100])
+        rank = lex_rank(7)
+        index = [rank[tuple(inverse[c] for c in p)] for p in perms]
+        for (chain, t), d in got.items():
+            assert np.array_equal(d, ec.evolve(ec.build_matrix(chain, 7), 0, t)[index])
 
     def test_chain_is_not_a_constructor_argument(self):
         # only build_matrix may say a matrix lumps: the skewed one must not pass as rt
@@ -479,6 +531,25 @@ class TestLumping:
         assert np.array_equal(ec._ranks(perms), np.arange(len(perms)))
         shuffled = perms[::-7]
         assert np.array_equal(ec._ranks(shuffled), lehmer_ranks(shuffled))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unrank_is_rank_order(self, n):
+        ranks = np.arange(math.factorial(n))
+        perms = ec._unrank(ranks, n)
+        assert perms.dtype == np.int8 and perms.shape == (len(ranks), n)
+        assert perms.tolist() == [list(p) for p in lex_order(n)]
+        assert np.array_equal(ec._unrank(ranks[::-7], n), perms[::-7])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orbits_equal_the_key_oracle(self, n):
+        # the first-card recursion numbers the orbits as np.unique numbers
+        # the cycle-type keys of every permutation
+        got, want = ec._orbits(n), orbits_oracle(n)
+        for chain in ("rt", "star"):
+            for name, g, w in zip(("labels", "sizes", "reps"), got[chain], want[chain]):
+                assert g.dtype == w.dtype == np.intp, (chain, name)
+                assert np.array_equal(g, w), (chain, name)
+                assert not g.flags.writeable, (chain, name)  # cached: every caller sees it
 
     @pytest.mark.parametrize("chain", ["rt", "star"])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -552,6 +623,40 @@ class TestLumping:
             "assert ec._orbit_matrix.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _no_enumeration(*args):
+    raise AssertionError("S_n was enumerated")
+
+
+class TestNoEnumeration:
+    """Only the lift to a nonzero start enumerates S_n: the labels, K, the
+    walk from the identity and the pair sums never call _lex_perms."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        for cached in (ec._lex_perms, ec._orbits, ec._orbit_matrix, ec._orbit_op, ec._start_index):
+            cached.cache_clear()
+        monkeypatch.setattr(ec, "_lex_perms", _no_enumeration)
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--n", "8", "--c", "0"],
+        ["exact-tv", "--chain", "rt", "--n", "8", "--t-max", "40"],
+        ["exact-tv", "--chain", "star", "--n", "8", "--t-max", "40"],
+        ["verify", "--n", "7"],
+    ])
+    def test_cli(self, argv, capsys):
+        assert cli.run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) > 1
+
+    def test_lemma(self):
+        lhs, rhs = ec.lemma_l2_check(6, 10, 26)
+        assert 0 < lhs <= rhs
+
+    def test_nonzero_start_enumerates(self):
+        with pytest.raises(AssertionError, match="enumerated"):
+            ec.evolve(ec.build_matrix("rt", 5), 7, 2)
 
 
 def tv_pair(a, b):
@@ -954,9 +1059,12 @@ class TestAllocationBudget:
         assert kept <= 6.3  # measured 5.75 MiB; 13.6 MiB with int64 weights
 
     def test_orbits8(self):
-        ec._lex_perms(8)  # cached, and kept: not part of the labelling's peak
-        peak, _ = traced_mib(lambda: ec._orbits.__wrapped__(8))
-        assert peak <= 5.6  # measured 5.08 MiB; 10.8 MiB with intp flat indices
+        # every level from S_1 up, from a cold cache
+        ec._orbits.cache_clear()
+        peak, _ = traced_mib(lambda: ec._orbits(8))
+        # measured 1.20 MiB; 5.08 MiB by the keys of every rank, S_n's
+        # enumeration cached before the trace, and 5.39 MiB with it traced
+        assert peak <= 1.3
 
     def test_exact_commutes7(self):
         star, rt = ec.build_matrix("star", 7), ec.build_matrix("rt", 7)
@@ -968,8 +1076,10 @@ class TestAllocationBudget:
 
     def test_walk_rt8(self):
         # what exact-tv pays, from cold caches: the labelling of S_n, K and 40
-        # orbit steps, and no n! matrix
+        # orbit steps, and neither the n! matrix nor an enumeration of S_n
         for cached in (ec._lex_perms, ec._orbits, ec._orbit_matrix, ec._orbit_op, ec._start_index):
             cached.cache_clear()
         peak, _ = traced_mib(lambda: ec.evolve(ec.build_matrix("rt", 8), 0, 40))
-        assert peak <= 5.9  # measured 5.39 MiB; 11.1 MiB when K was read from the n! matrix
+        # measured 1.19 MiB; 5.39 MiB with the labelling by the keys of every
+        # rank, and 11.1 MiB when K was read from the n! matrix
+        assert peak <= 1.3
